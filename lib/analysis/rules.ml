@@ -141,6 +141,17 @@ let suppression =
        justification clause; a typo'd allow suppresses nothing, silently";
   }
 
+let durability =
+  {
+    id = "R13";
+    name = "durability";
+    severity = Diagnostic.Error;
+    doc =
+      "library code must not call Unix.fsync, Sys.rename or Unix.rename \
+       outside lib/core/wal.ml: every durable write goes through the \
+       write-ahead log, so crash safety has one implementation to audit";
+  }
+
 let all =
   [
     syntax;
@@ -156,6 +167,7 @@ let all =
     fault_custody;
     allocation;
     suppression;
+    durability;
   ]
 
 let diag rule (src : Source.t) ~line ~col message =
@@ -291,6 +303,18 @@ let concurrency_violation parts =
            m)
   | _ -> None
 
+(* Whether [src] is one of [paths], which are relative to the tree
+   root: the linter may be run from above it. *)
+let path_in paths (src : Source.t) =
+  let p = src.Source.path in
+  List.exists
+    (fun exempt ->
+      let n = String.length exempt in
+      p = exempt
+      || (String.length p > n
+         && String.sub p (String.length p - n - 1) (n + 1) = "/" ^ exempt))
+    paths
+
 (* Standing R6 exemptions.  [pool.ml] is the worker pool itself.
    [serve.ml] is the one long-running server module: it owns the
    listener socket, the per-connection reader/writer domains and the
@@ -302,15 +326,7 @@ let concurrency_violation parts =
    kill/resume. *)
 let concurrency_exempt_paths = [ "lib/util/pool.ml"; "lib/core/serve.ml" ]
 
-let concurrency_exempt (src : Source.t) =
-  let p = src.Source.path in
-  List.exists
-    (fun exempt ->
-      let n = String.length exempt in
-      p = exempt
-      || (String.length p > n
-         && String.sub p (String.length p - n - 1) (n + 1) = "/" ^ exempt))
-    concurrency_exempt_paths
+let concurrency_exempt = path_in concurrency_exempt_paths
 
 let partiality_violation parts =
   match parts with
@@ -362,13 +378,27 @@ let hot_path_violation parts =
    module whose job is exactly that custody, so it is exempt; every
    other site must name the exceptions it expects or carry a
    `lint: allow swallow` marker. *)
-let fault_path = "lib/core/fault.ml"
+let swallow_exempt = path_in [ "lib/core/fault.ml" ]
 
-let swallow_exempt (src : Source.t) =
-  let p = src.Source.path and n = String.length fault_path in
-  p = fault_path
-  || (String.length p > n
-     && String.sub p (String.length p - n - 1) (n + 1) = "/" ^ fault_path)
+(* R13: fsync and rename are the two halves of the crash-safety
+   argument — a write is on disk, and a rewrite replaces the file
+   whole.  They belong to the write-ahead log alone, so that every
+   durable write inherits its recovery contract and crash points have
+   one place to be injected.  Its one standing exemption is the log
+   itself. *)
+let durability_calls =
+  [ [ "Unix"; "fsync" ]; [ "Sys"; "rename" ]; [ "Unix"; "rename" ] ]
+
+let durability_violation parts =
+  if List.mem parts durability_calls then
+    Some
+      (Printf.sprintf
+         "%s belongs in lib/core/wal.ml: durable writes go through the \
+          write-ahead log (or whitelist with `lint: allow durability`)"
+         (String.concat "." parts))
+  else None
+
+let durability_exempt = path_in [ "lib/core/wal.ml" ]
 
 let rec catch_all_pattern (p : Parsetree.pattern) =
   match p.Parsetree.ppat_desc with
@@ -450,6 +480,9 @@ let check_structure src structure =
     | None -> ());
     (match concurrency_violation parts with
     | Some m when not (concurrency_exempt src) -> add concurrency loc m
+    | Some _ | None -> ());
+    (match durability_violation parts with
+    | Some m when not (durability_exempt src) -> add durability loc m
     | Some _ | None -> ());
     match partiality_violation parts with
     | Some m -> add partiality loc m

@@ -43,6 +43,13 @@
       or boxed allocation on the per-window scoring path.  Escape
       hatch: [lint: allow allocation].
 
+    One more per-file rule guards crash safety:
+
+    - [R13 durability] — [Unix.fsync], [Sys.rename] and [Unix.rename]
+      in library code are confined to [lib/core/wal.ml], so every
+      durable write goes through the write-ahead log.  Escape hatch:
+      [lint: allow durability].
+
     One meta-rule keeps the whitelist honest:
 
     - [R12 suppression] — allow markers must name known rules exactly
@@ -64,7 +71,7 @@ type t = {
 }
 
 val all : t list
-(** Every rule the engine knows, [R0]–[R12], in order. *)
+(** Every rule the engine knows, [R0]–[R13], in order. *)
 
 val syntax : t
 val determinism : t
@@ -79,11 +86,12 @@ val checkpoint : t
 val fault_custody : t
 val allocation : t
 val suppression : t
+val durability : t
 
 val check_file : Source.t -> Diagnostic.t list
-(** File-local rules only ([R0]–[R3] and [R12]), whitelist already
-    applied.  Project-wide rules need the whole file set; use
-    {!run}. *)
+(** File-local rules only ([R0]–[R3], [R6]–[R8], [R12] and [R13]),
+    whitelist already applied.  Project-wide rules need the whole file
+    set; use {!run}. *)
 
 val run : Source.t list -> Diagnostic.t list
 (** All rules over a file set, whitelist applied, sorted by

@@ -124,12 +124,9 @@ let armed t f =
 
 let compute_fingerprint trace =
   (* FNV-1a over the length and every symbol. *)
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  let mix x = h := Int64.mul (Int64.logxor !h (Int64.of_int x)) prime in
-  mix (Trace.length trace);
+  let h = ref (Hash.fnv_int Hash.fnv_basis (Trace.length trace)) in
   for i = 0 to Trace.length trace - 1 do
-    mix (Trace.get trace i)
+    h := Hash.fnv_int !h (Trace.get trace i)
   done;
   !h
 
@@ -159,18 +156,12 @@ let key t (module D : Detector.S) ~window trace : key =
    [--resume], so a seeded fault plan trips an identical task set in
    every execution of the same grid. *)
 
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_int h x = Int64.mul (Int64.logxor h (Int64.of_int x)) fnv_prime
-let fnv_int64 h x = Int64.mul (Int64.logxor h x) fnv_prime
-
-let fnv_string h s =
-  String.fold_left (fun h c -> fnv_int h (Char.code c)) h s
-
 let train_task_key ((name, window, fp) : key) =
+  let open Hash in
   fnv_int64 (fnv_int (fnv_string (fnv_int fnv_basis 1) name) window) fp
 
 let score_task_key (trained, inj) =
+  let open Hash in
   let h = fnv_int fnv_basis 2 in
   let h = fnv_string h (Trained.name trained) in
   let h = fnv_int h (Trained.window trained) in

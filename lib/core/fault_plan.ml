@@ -37,16 +37,8 @@ let sticky t = t.sticky
    order-free hash — the same mixer Seqdiv_util.Prng steps with, used
    here statelessly. *)
 let mix seed key =
-  let z = Int64.add (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L) key in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  let open Seqdiv_util.Hash in
+  splitmix64 (Int64.add (Int64.mul (Int64.of_int seed) golden_gamma) key)
 
 let uniform seed key =
   Int64.to_float (Int64.shift_right_logical (mix seed key) 11)

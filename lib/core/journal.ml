@@ -1,22 +1,7 @@
-(* Crash-safe run journal: a versioned, line-oriented, append-only
-   record of completed performance-map cells.  Durability comes from
-   fsynced writes — whole-file write-tmp-then-rename batches (rename
-   within a directory is atomic on POSIX filesystems) plus an
-   append-mode fast path for flushes that only add lines — integrity
-   from a per-line FNV-1a digest, and recovery from a tolerant loader
-   that drops the torn tail of an interrupted write instead of
-   refusing the file.
-
-   Flush modes.  A flush appends only the lines recorded since the
-   last flush — O(new cells), which is what keeps a long multi-resume
-   session cheap — except when the file must be (re)written whole:
-   the first flush of a fresh journal (writes the header), a resumed
-   file with a torn tail or no trailing newline (appending would
-   splice into a partial line), a previous-version header (upgrades
-   it), or accumulated shadowed lines past [compact_factor] x the live
-   entry count (compaction).  Rewrites emit live entries only — one
-   line per key, newest record wins — so the file size stays bounded
-   by the live cell count. *)
+(* Crash-safe run journal: the record codec for performance-map cells
+   over Wal, which owns the file layout, digests, durability and
+   recovery.  What stays here is the cell line, the index the resumed
+   run consults, and the compaction trigger.  See the .mli. *)
 
 let version = 2
 let magic = Printf.sprintf "seqdiv-journal v%d" version
@@ -27,8 +12,6 @@ let magic_v1 = "seqdiv-journal v1"
 
 exception Corrupt of string
 
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
-
 type entry = {
   seed : int;
   detector : string;
@@ -38,32 +21,15 @@ type entry = {
 }
 
 type t = {
-  path : string;
-  context : string;
+  wal : Wal.t;
   compact_factor : float;
   index : (int * string * int * int, Outcome.t) Hashtbl.t;
-  mutable entries : entry list; (* newest first; rewritten oldest-first *)
-  mutable pending : entry list; (* newest first; not yet on disk *)
-  mutable written_lines : int; (* cell lines physically in the file *)
-  mutable appendable : bool;
-      (* the on-disk file is exactly [magic]/context/[written_lines]
-         whole valid lines with a trailing newline — safe to append to *)
+  mutable entries : entry list; (* newest first *)
+  mutable pending : string list; (* bodies not yet on disk, newest first *)
   mutable recovered : int;
-  mutable dropped : int;
-  mutable dirty : bool;
-  mutable appends : int;
-  mutable compactions : int;
 }
 
 (* --- line codec --------------------------------------------------------- *)
-
-let fnv_string s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
 
 let check_field name s =
   if s = "" || String.exists (fun c -> c = ' ' || c = '\n' || c = '\t') s then
@@ -84,73 +50,29 @@ let body_of_entry e =
     e.anomaly_size (outcome_tag e.outcome)
     (Int64.bits_of_float (Outcome.max_response e.outcome))
 
-let line_of_entry e =
-  let body = body_of_entry e in
-  Printf.sprintf "%s %016Lx" body (fnv_string body)
-
-let int_field s = int_of_string_opt s
-
-let entry_of_line line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some cut -> (
-      let body = String.sub line 0 cut in
-      let digest = String.sub line (cut + 1) (String.length line - cut - 1) in
-      match Int64.of_string_opt ("0x" ^ digest) with
-      | Some d when Int64.equal d (fnv_string body) -> (
-          match String.split_on_char ' ' body with
-          | [ "cell"; seed; detector; window; anomaly_size; tag; bits ] -> (
-              match
-                ( int_field seed,
-                  int_field window,
-                  int_field anomaly_size,
-                  Int64.of_string_opt ("0x" ^ bits) )
-              with
-              | Some seed, Some window, Some anomaly_size, Some bits -> (
-                  let m = Int64.float_of_bits bits in
-                  let outcome =
-                    match tag with
-                    | "blind" when m = 0.0 -> Some Outcome.Blind
-                    | "weak" -> Some (Outcome.Weak m)
-                    | "capable" -> Some (Outcome.Capable m)
-                    | _ -> None
-                  in
-                  match outcome with
-                  | Some outcome ->
-                      Some { seed; detector; window; anomaly_size; outcome }
-                  | None -> None)
-              | _ -> None)
-          | _ -> None)
-      | Some _ | None -> None)
-
-(* --- load --------------------------------------------------------------- *)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match In_channel.input_line ic with
-        | Some line -> go (line :: acc)
-        | None -> List.rev acc
-      in
-      go [])
-
-(* Whether the file ends in a newline: [input_line] swallows a missing
-   final newline, so a file whose last line parses can still be
-   append-unsafe — an appended line would splice onto it. *)
-let ends_with_newline path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      if n = 0 then false
-      else begin
-        seek_in ic (n - 1);
-        input_char ic = '\n'
-      end)
+let entry_of_body body =
+  match String.split_on_char ' ' body with
+  | [ "cell"; seed; detector; window; anomaly_size; tag; bits ] -> (
+      match
+        ( int_of_string_opt seed,
+          int_of_string_opt window,
+          int_of_string_opt anomaly_size,
+          Int64.of_string_opt ("0x" ^ bits) )
+      with
+      | Some seed, Some window, Some anomaly_size, Some bits -> (
+          let m = Int64.float_of_bits bits in
+          let outcome =
+            match tag with
+            | "blind" when m = 0.0 -> Some Outcome.Blind
+            | "weak" -> Some (Outcome.Weak m)
+            | "capable" -> Some (Outcome.Capable m)
+            | _ -> None
+          in
+          match outcome with
+          | Some outcome -> Some { seed; detector; window; anomaly_size; outcome }
+          | None -> None)
+      | _ -> None)
+  | _ -> None
 
 let key_of e = (e.seed, e.detector, e.window, e.anomaly_size)
 
@@ -158,93 +80,48 @@ let absorb t e =
   Hashtbl.replace t.index (key_of e) e.outcome;
   t.entries <- e :: t.entries
 
-let load_into t =
-  match read_lines t.path with
-  | [] -> corrupt "%s: empty journal (missing %S header)" t.path magic
-  | header :: rest ->
-      let current = String.equal header magic in
-      if not (current || String.equal header magic_v1) then
-        corrupt "%s: bad journal header %S (want %S)" t.path header magic;
-      (match rest with
-      | context_line :: _
-        when String.length context_line > 8
-             && String.equal (String.sub context_line 0 8) "context " ->
-          let ctx =
-            String.sub context_line 8 (String.length context_line - 8)
-          in
-          if not (String.equal ctx t.context) then
-            corrupt
-              "%s: journal was written for a different run (%s, this run is \
-               %s) — refusing to resume from it"
-              t.path ctx t.context
-      | _ -> corrupt "%s: missing context line" t.path);
-      let cells = match rest with [] -> [] | _ :: cells -> cells in
-      (* Torn-tail recovery: an interrupted write can leave a partial
-         final line (or trailing garbage).  Absorb the longest valid
-         prefix and count what follows as dropped — never refuse the
-         whole file for a damaged tail. *)
-      let rec go = function
-        | [] -> ()
-        | line :: more -> (
-            match entry_of_line line with
-            | Some e ->
-                absorb t e;
-                t.written_lines <- t.written_lines + 1;
-                go more
-            | None -> t.dropped <- 1 + List.length more)
-      in
-      go cells;
-      t.recovered <- Hashtbl.length t.index;
-      (* Append only onto a file this version wrote completely: a torn
-         tail, a missing final newline or a v1 header all force the
-         next flush through the rewrite path (which also upgrades the
-         header). *)
-      t.appendable <- current && t.dropped = 0 && ends_with_newline t.path
-
 (* --- public api --------------------------------------------------------- *)
 
 let default_compact_factor = 4.0
 
 let start ?(resume = false) ?(compact_factor = default_compact_factor)
     ~context path =
-  if String.exists (fun c -> c = '\n') context then
-    (* lint: allow partiality — documented precondition *)
-    invalid_arg "Journal.start: context contains a newline";
   let t =
     {
-      path;
-      context;
+      wal = Wal.create ~magic ~context path;
       compact_factor;
       index = Hashtbl.create 256;
       entries = [];
       pending = [];
-      written_lines = 0;
-      appendable = false;
       recovered = 0;
-      dropped = 0;
-      dirty = false;
-      appends = 0;
-      compactions = 0;
     }
   in
-  if resume && Sys.file_exists path then load_into t;
+  if resume then begin
+    Wal.recover t.wal ~legacy:magic_v1 ~corrupt:(fun m -> Corrupt m) ~run:"run"
+      (fun body ->
+        match entry_of_body body with
+        | Some e ->
+            absorb t e;
+            true
+        | None -> false);
+    t.recovered <- Hashtbl.length t.index
+  end;
   t
 
-let path t = t.path
-let context t = t.context
+let path t = Wal.path t.wal
+let context t = Wal.context t.wal
 let recovered t = t.recovered
-let dropped_lines t = t.dropped
-let appends t = t.appends
-let compactions t = t.compactions
+let dropped_lines t = Wal.dropped t.wal
+let appends t = Wal.appends t.wal
+let compactions t = Wal.compactions t.wal
 
 let lookup t ~seed ~detector ~window ~anomaly_size =
   Hashtbl.find_opt t.index (seed, detector, window, anomaly_size)
 
 let record t e =
-  ignore (body_of_entry e) (* validate before accepting *);
+  let body = body_of_entry e (* validates before accepting *) in
   absorb t e;
-  t.pending <- e :: t.pending;
-  t.dirty <- true
+  t.pending <- body :: t.pending
 
 let entries t = List.rev t.entries
 
@@ -266,73 +143,18 @@ let live_entries t =
   in
   List.rev keep
 
-let fsync_out oc =
-  Stdlib.flush oc;
-  Unix.fsync (Unix.descr_of_out_channel oc)
-
-let output_entry oc e =
-  output_string oc (line_of_entry e);
-  output_char oc '\n'
-
-(* Whole-file rewrite via write-tmp-then-rename: a crash at any
-   instant leaves either the previous complete journal or the new
-   complete journal.  Also the compaction step: only live entries are
-   written. *)
-let rewrite t =
-  let live = live_entries t in
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc magic;
-         output_char oc '\n';
-         output_string oc ("context " ^ t.context);
-         output_char oc '\n';
-         List.iter (output_entry oc) live;
-         fsync_out oc)
-   with
-  | () -> ()
-  (* lint: allow swallow — tmp cleanup only; the exception is re-raised *)
-  | exception exn ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise exn);
-  Sys.rename tmp t.path;
-  t.written_lines <- List.length live;
-  t.pending <- [];
-  t.appendable <- true;
-  t.compactions <- t.compactions + 1
-
-(* Append-mode fast path: write only the lines recorded since the last
-   flush — O(new cells) bytes however large the journal has grown. *)
-let append t =
-  let pending = List.rev t.pending in
-  (* If the append is interrupted the tail state is unknown; the next
-     flush (or resume) must go through the rewrite path. *)
-  t.appendable <- false;
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter (output_entry oc) pending;
-      fsync_out oc);
-  t.written_lines <- t.written_lines + List.length pending;
-  t.pending <- [];
-  t.appendable <- true;
-  t.appends <- t.appends + 1
-
+(* Appends the pending lines unless the file cannot take an append or
+   its cell lines would exceed [compact_factor] x the live entries; a
+   factor <= 0 rewrites on every flush. *)
 let flush t =
-  if t.dirty then begin
-    let must_rewrite =
-      (not t.appendable)
-      || not (Sys.file_exists t.path)
-      || t.compact_factor <= 0.0
-      || float_of_int (t.written_lines + List.length t.pending)
-         > t.compact_factor *. float_of_int (Hashtbl.length t.index)
-    in
-    if must_rewrite then rewrite t else append t;
-    t.dirty <- false
+  if t.pending <> [] then begin
+    let lines = Wal.lines t.wal + List.length t.pending in
+    Wal.write t.wal
+      ~compact:
+        (t.compact_factor <= 0.0
+        || float_of_int lines
+           > t.compact_factor *. float_of_int (Hashtbl.length t.index))
+      (List.rev t.pending)
+      (fun () -> List.map body_of_entry (live_entries t));
+    t.pending <- []
   end

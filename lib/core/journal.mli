@@ -1,49 +1,37 @@
 (** Crash-safe run journal — the persistence behind [--journal] /
     [--resume].
 
-    A journal is a line-oriented record of {e completed} performance-map
-    cells.  An interrupted grid run resumed against its journal
-    re-executes only the missing cells; because every cell outcome is a
-    pure function of its inputs and the float payload round-trips
-    bit-exactly ([Int64.bits_of_float]), the resumed maps are
-    byte-identical to a fresh run at any jobs count.
+    A journal is a record of {e completed} performance-map cells.  An
+    interrupted grid run resumed against its journal re-executes only
+    the missing cells; because every cell outcome is a pure function of
+    its inputs and the float payload round-trips bit-exactly
+    ([Int64.bits_of_float]), the resumed maps are byte-identical to a
+    fresh run at any jobs count.
 
-    {b On-disk format} (version {!version}; full spec in
-    [docs/ROBUSTNESS.md]):
+    The cells live in a {!Wal}, which owns the header and context
+    lines, the per-line digests, the fsync'd append and atomic rewrite,
+    and torn-tail recovery.  This module is the record codec (full spec
+    in [docs/ROBUSTNESS.md]):
     {v
 seqdiv-journal v2
 context <free text identifying the run configuration>
 cell <seed> <detector> <window> <anomaly-size> <tag> <response-bits> <digest>
 ...
     v}
-    One cell per line; [tag] is [blind]/[weak]/[capable],
-    [response-bits] the IEEE-754 bits of the max response in hex, and
-    [digest] a 64-bit FNV-1a over the rest of the line.  Version 1
-    files are line-identical and are accepted on load (the header
-    upgrades on the first rewrite).  {!Outcome.Failed} cells are
+    One cell per line; [tag] is [blind]/[weak]/[capable] and
+    [response-bits] the IEEE-754 bits of the max response in hex.
+    Version 1 files are line-identical and are accepted on load (the
+    header upgrades on the first rewrite).  {!Outcome.Failed} cells are
     {e never} journalled — a resume retries them.
 
-    {b Durability and flush modes.}  Every flush reaches disk through
-    [fsync].  A flush normally takes the {e append} fast path: only the
-    lines recorded since the last flush are appended — O(new cells)
-    bytes per flush, however many cells the journal already holds,
-    which is what keeps a long multi-resume session cheap.  A flush
-    falls back to a whole-file {e rewrite} (to [path ^ ".tmp"], then an
-    atomic rename) when appending would be wrong or wasteful: the first
-    flush of a fresh journal (writes the header), a resumed file with a
-    torn tail or missing final newline (appending would splice into a
-    partial line), a previous-version header, or — {e compaction} —
-    when the file's cell lines exceed [compact_factor] times the live
-    entry count.  Rewrites emit live entries only (newest record per
-    key), so the file stays bounded by the live cell count whatever the
-    shadowing history.
-
-    A file torn some other way (partial final line, trailing garbage)
-    is still accepted on load: the loader absorbs the longest valid
-    prefix and counts the rest as {!dropped_lines} instead of refusing
-    the run.  A journal whose header or [context] line disagrees with
-    the resuming run raises {!Corrupt} — resuming against the wrong
-    configuration would silently splice incompatible cells. *)
+    A flush appends the cells recorded since the last one, unless the
+    file's cell lines would exceed [compact_factor] times the live
+    entry count: then it is rewritten with live entries only (newest
+    record per key), so the file stays bounded by the live cell count
+    whatever the shadowing history.  A journal whose header or
+    [context] line disagrees with the resuming run raises {!Corrupt} —
+    resuming against the wrong configuration would silently splice
+    incompatible cells. *)
 
 val version : int
 
@@ -95,8 +83,8 @@ val record : t -> entry -> unit
 
 val flush : t -> unit
 (** Persist everything recorded since the last flush — appending when
-    the file permits it, rewriting whole otherwise (see the flush-mode
-    discussion above).  No-op when nothing was recorded. *)
+    the file permits it, rewriting whole otherwise ({!Wal.write} and
+    the compaction rule above).  No-op when nothing was recorded. *)
 
 val entries : t -> entry list
 (** Every entry the journal holds (recovered and newly recorded), in

@@ -13,11 +13,10 @@ type t = {
   shard : int;
   monitors : (int, Online.t) Hashtbl.t;
   (* Resent-batch dedup: id -> the incident events the original apply
-     emitted, bounded to the same window as the journal's batch
-     history (64 when no journal is attached). *)
+     emitted, bounded to [dedup_capacity], the same window as the
+     journal's default batch history. *)
   dedup : (int, Frame.incident_event list) Hashtbl.t;
   dedup_order : int Queue.t;
-  dedup_capacity : int;
   mutable events : int;
   mutable symbols : int;
   mutable batches : int;
@@ -28,7 +27,7 @@ type t = {
   mutable departed_alarms : int;
 }
 
-let default_dedup_capacity = 64
+let dedup_capacity = 64
 
 let incident_of_core (i : Incident.t) =
   {
@@ -53,7 +52,7 @@ let incident_to_core (i : Frame.incident) =
 let remember_batch t ~batch_id incidents =
   Hashtbl.replace t.dedup batch_id incidents;
   Queue.push batch_id t.dedup_order;
-  while Queue.length t.dedup_order > t.dedup_capacity do
+  while Queue.length t.dedup_order > dedup_capacity do
     Hashtbl.remove t.dedup (Queue.pop t.dedup_order)
   done
 
@@ -68,10 +67,6 @@ let create ~scorer ~threshold ?adaptive ?journal ~shard () =
       monitors = Hashtbl.create 1024;
       dedup = Hashtbl.create 128;
       dedup_order = Queue.create ();
-      dedup_capacity =
-        (match journal with
-        | Some _ -> max default_dedup_capacity 1
-        | None -> default_dedup_capacity);
       events = 0;
       symbols = 0;
       batches = 0;

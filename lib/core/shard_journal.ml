@@ -1,16 +1,13 @@
-(* Per-shard serve journal: Journal's disciplines (versioned magic,
-   context pinning, per-line FNV-1a digests, append+fsync fast path,
-   threshold compaction, torn-tail recovery) plus commit groups, which
-   make one flush atomic with respect to recovery.  See the .mli for
-   the contract and the format rationale. *)
+(* Per-shard serve journal: the record codec for session snapshots,
+   ends and batch records over Wal, plus commit groups, which make one
+   commit atomic with respect to recovery.  See the .mli for the
+   contract and the format rationale. *)
 
 open Seqdiv_stream
 
 let magic = "seqdiv-shard-journal v1"
 
 exception Corrupt of string
-
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 type session_state = {
   js_session : int;
@@ -35,34 +32,17 @@ type record =
   | Batch of batch_record
 
 type t = {
-  path : string;
-  context : string;
-  compact_factor : float;
+  wal : Wal.t;
   batch_history : int;
   live : (int, session_state) Hashtbl.t;
   batch_q : batch_record Queue.t; (* oldest first, bounded *)
-  mutable pending : string list; (* record lines, newest first *)
+  mutable pending : string list; (* record bodies, newest first *)
   mutable pending_count : int;
-  mutable written_lines : int; (* record + commit lines on disk *)
-  mutable appendable : bool;
   mutable recovered_sessions : int;
   mutable recovered_batches : int;
-  mutable dropped : int;
-  mutable appends : int;
-  mutable compactions : int;
 }
 
 (* --- line codec --------------------------------------------------------- *)
-
-let fnv_string s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  !h
-
-let with_digest body = Printf.sprintf "%s %016Lx" body (fnv_string body)
 
 let incident_token (i : Frame.incident) =
   Printf.sprintf "%d:%d:%d:%d:%d:%016Lx" i.Frame.first_start i.Frame.last_start
@@ -147,75 +127,54 @@ let batch_body b =
 
 let commit_body count = Printf.sprintf "k %d" count
 
-(* A digested line back into its parsed form; None on any damage. *)
-let parse_line line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some cut -> (
-      let body = String.sub line 0 cut in
-      let digest = String.sub line (cut + 1) (String.length line - cut - 1) in
-      match Int64.of_string_opt ("0x" ^ digest) with
-      | Some d when Int64.equal d (fnv_string body) -> (
-          match String.split_on_char ' ' body with
-          | [ "s"; session; consumed; state; open_tok ]
-          | [ "s"; session; consumed; state; open_tok; _ ] -> (
-              let js_adaptive =
-                match String.split_on_char ' ' body with
-                | [ _; _; _; _; _; adaptive ] when adaptive <> "" ->
-                    Some adaptive
-                | _ -> None
-              in
-              match
-                ( int_of_string_opt session,
-                  int_of_string_opt consumed,
-                  int_of_string_opt state )
-              with
-              | Some js_session, Some js_consumed, Some js_state -> (
-                  match
-                    if open_tok = "-" then Some None
-                    else Option.map Option.some (incident_of_token open_tok)
-                  with
-                  | Some js_open ->
-                      Some
-                        (`Record
-                          (Session
-                             {
-                               js_session;
-                               js_consumed;
-                               js_state;
-                               js_open;
-                               js_adaptive;
-                             }))
-                  | None -> None)
-              | _ -> None)
-          | [ "e"; session ] ->
-              Option.map (fun s -> `Record (Ended s)) (int_of_string_opt session)
-          | "b" :: id :: shard :: events :: count :: toks -> (
-              match
-                ( int_of_string_opt id,
-                  int_of_string_opt shard,
-                  int_of_string_opt events,
-                  int_of_string_opt count )
-              with
-              | Some jb_id, Some jb_shard, Some jb_events, Some count
-                when count = List.length toks -> (
-                  let incidents = List.map incident_event_of_token toks in
-                  if List.for_all Option.is_some incidents then
-                    Some
-                      (`Record
-                        (Batch
-                           {
-                             jb_id;
-                             jb_shard;
-                             jb_events;
-                             jb_incidents = List.filter_map Fun.id incidents;
-                           }))
-                  else None)
-              | _ -> None)
-          | [ "k"; count ] ->
-              Option.map (fun c -> `Commit c) (int_of_string_opt count)
-          | _ -> None)
-      | Some _ | None -> None)
+(* A record body (its digest already checked) back into its parsed
+   form; None on any damage. *)
+let parse_body body =
+  match String.split_on_char ' ' body with
+  | "s" :: session :: consumed :: state :: open_tok :: (([] | [ _ ]) as extra)
+    -> (
+      let js_adaptive =
+        match extra with [ a ] when a <> "" -> Some a | _ -> None
+      in
+      match
+        ( int_of_string_opt session,
+          int_of_string_opt consumed,
+          int_of_string_opt state,
+          if open_tok = "-" then Some None
+          else Option.map Option.some (incident_of_token open_tok) )
+      with
+      | Some js_session, Some js_consumed, Some js_state, Some js_open ->
+          Some
+            (`Record
+              (Session
+                 { js_session; js_consumed; js_state; js_open; js_adaptive }))
+      | _ -> None)
+  | [ "e"; session ] ->
+      Option.map (fun s -> `Record (Ended s)) (int_of_string_opt session)
+  | "b" :: id :: shard :: events :: count :: toks -> (
+      match
+        ( int_of_string_opt id,
+          int_of_string_opt shard,
+          int_of_string_opt events,
+          int_of_string_opt count )
+      with
+      | Some jb_id, Some jb_shard, Some jb_events, Some count
+        when count = List.length toks -> (
+          let incidents = List.map incident_event_of_token toks in
+          if List.for_all Option.is_some incidents then
+            Some
+              (`Record
+                (Batch
+                   {
+                     jb_id;
+                     jb_shard;
+                     jb_events;
+                     jb_incidents = List.filter_map Fun.id incidents;
+                   }))
+          else None)
+      | _ -> None)
+  | [ "k"; count ] -> Option.map (fun c -> `Commit c) (int_of_string_opt count)
+  | _ -> None
 
 (* --- in-memory state ---------------------------------------------------- *)
 
@@ -228,115 +187,62 @@ let apply_record t = function
         ignore (Queue.pop t.batch_q)
       done
 
-(* --- load --------------------------------------------------------------- *)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match In_channel.input_line ic with
-        | Some line -> go (line :: acc)
-        | None -> List.rev acc
-      in
-      go [])
-
-let ends_with_newline path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      if n = 0 then false
-      else begin
-        seek_in ic (n - 1);
-        input_char ic = '\n'
-      end)
-
-let load_into t =
-  match read_lines t.path with
-  | [] -> corrupt "%s: empty journal (missing %S header)" t.path magic
-  | header :: rest ->
-      if not (String.equal header magic) then
-        corrupt "%s: bad journal header %S (want %S)" t.path header magic;
-      (match rest with
-      | context_line :: _
-        when String.length context_line > 8
-             && String.equal (String.sub context_line 0 8) "context " ->
-          let ctx = String.sub context_line 8 (String.length context_line - 8) in
-          if not (String.equal ctx t.context) then
-            corrupt
-              "%s: journal was written for a different serve run (%s, this \
-               run is %s) — refusing to resume from it"
-              t.path ctx t.context
-      | _ -> corrupt "%s: missing context line" t.path);
-      let cells = match rest with [] -> [] | _ :: cells -> cells in
-      (* Commit-group recovery: records buffer until their commit
-         marker; a damaged line, a count mismatch, or end-of-file drops
-         the buffered group (and everything after a damaged line)
-         instead of applying a half-flush. *)
-      let rec go group_rev group_n = function
-        | [] -> t.dropped <- t.dropped + group_n
-        | line :: more -> (
-            match parse_line line with
-            | Some (`Record r) ->
-                go (r :: group_rev) (group_n + 1) more
-            | Some (`Commit count) when count = group_n ->
-                List.iter (apply_record t) (List.rev group_rev);
-                t.written_lines <- t.written_lines + group_n + 1;
-                go [] 0 more
-            | Some (`Commit _) | None ->
-                t.dropped <- t.dropped + group_n + 1 + List.length more)
-      in
-      go [] 0 cells;
-      t.recovered_sessions <- Hashtbl.length t.live;
-      t.recovered_batches <- Queue.length t.batch_q;
-      t.appendable <- t.dropped = 0 && ends_with_newline t.path
-
 (* --- public api --------------------------------------------------------- *)
 
-let default_compact_factor = 4.0
+(* Rewrite when the file's lines (commit markers included) plus the
+   pending records would exceed this many times the live records. *)
+let compact_factor = 4.0
 let default_batch_history = 64
 
-let start ?(resume = false) ?(compact_factor = default_compact_factor)
-    ?(batch_history = default_batch_history) ~context path =
-  if String.exists (fun c -> c = '\n') context then
-    (* lint: allow partiality — documented precondition *)
-    invalid_arg "Shard_journal.start: context contains a newline";
+let start ?(resume = false) ?(batch_history = default_batch_history) ~context
+    path =
   let t =
     {
-      path;
-      context;
-      compact_factor;
+      wal = Wal.create ~magic ~context path;
       batch_history = max 1 batch_history;
       live = Hashtbl.create 256;
       batch_q = Queue.create ();
       pending = [];
       pending_count = 0;
-      written_lines = 0;
-      appendable = false;
       recovered_sessions = 0;
       recovered_batches = 0;
-      dropped = 0;
-      appends = 0;
-      compactions = 0;
     }
   in
-  if resume && Sys.file_exists path then load_into t;
+  if resume then begin
+    (* Commit-group recovery: records wait for their commit marker; the
+       group the file ends inside, or breaks off at a damaged line or a
+       count mismatch, is dropped whole instead of half-applied. *)
+    let group = ref [] and size = ref 0 in
+    Wal.recover t.wal ~corrupt:(fun m -> Corrupt m) ~run:"serve run"
+      (fun body ->
+        match parse_body body with
+        | Some (`Record r) ->
+            group := r :: !group;
+            incr size;
+            true
+        | Some (`Commit count) when count = !size ->
+            List.iter (apply_record t) (List.rev !group);
+            group := [];
+            size := 0;
+            true
+        | Some (`Commit _) | None -> false);
+    Wal.drop t.wal !size;
+    t.recovered_sessions <- Hashtbl.length t.live;
+    t.recovered_batches <- Queue.length t.batch_q
+  end;
   t
 
-let path t = t.path
-let context t = t.context
+let path t = Wal.path t.wal
+let context t = Wal.context t.wal
 let recovered_sessions t = t.recovered_sessions
 let recovered_batches t = t.recovered_batches
-let dropped_lines t = t.dropped
-let appends t = t.appends
-let compactions t = t.compactions
+let dropped_lines t = Wal.dropped t.wal
+let appends t = Wal.appends t.wal
+let compactions t = Wal.compactions t.wal
 
 let push_pending t body record =
   apply_record t record;
-  t.pending <- with_digest body :: t.pending;
+  t.pending <- body :: t.pending;
   t.pending_count <- t.pending_count + 1
 
 let record_session t s = push_pending t (session_body s) (Session s)
@@ -350,74 +256,22 @@ let sessions t =
 
 let batches t = List.of_seq (Queue.to_seq t.batch_q)
 
-let fsync_out oc =
-  Stdlib.flush oc;
-  Unix.fsync (Unix.descr_of_out_channel oc)
-
-let output_line oc line =
-  output_string oc line;
-  output_char oc '\n'
-
-(* Whole-file rewrite (also compaction): live sessions plus retained
-   batches as one committed group, via write-tmp-then-rename. *)
-let rewrite t =
-  let lines =
-    List.map (fun s -> with_digest (session_body s)) (sessions t)
-    @ List.map (fun b -> with_digest (batch_body b)) (batches t)
-  in
-  let count = List.length lines in
-  let tmp = t.path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_line oc magic;
-         output_line oc ("context " ^ t.context);
-         List.iter (output_line oc) lines;
-         output_line oc (with_digest (commit_body count));
-         fsync_out oc)
-   with
-  | () -> ()
-  (* lint: allow swallow — tmp cleanup only; the exception is re-raised *)
-  | exception exn ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise exn);
-  Sys.rename tmp t.path;
-  t.written_lines <- count + 1;
-  t.pending <- [];
-  t.pending_count <- 0;
-  t.appendable <- true;
-  t.compactions <- t.compactions + 1
-
-let append t =
-  let pending = List.rev t.pending in
-  let count = t.pending_count in
-  (* If the append is interrupted the tail state is unknown; the next
-     commit (or resume) must go through the rewrite path. *)
-  t.appendable <- false;
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 t.path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter (output_line oc) pending;
-      output_line oc (with_digest (commit_body count));
-      fsync_out oc);
-  t.written_lines <- t.written_lines + count + 1;
-  t.pending <- [];
-  t.pending_count <- 0;
-  t.appendable <- true;
-  t.appends <- t.appends + 1
-
+(* One commit group: the pending records and their marker, appended;
+   or, on a rewrite, the live sessions and retained batches as one
+   group. *)
 let commit t =
   if t.pending_count > 0 then begin
     let live = Hashtbl.length t.live + Queue.length t.batch_q + 1 in
-    let must_rewrite =
-      (not t.appendable)
-      || not (Sys.file_exists t.path)
-      || t.compact_factor <= 0.0
-      || float_of_int (t.written_lines + t.pending_count)
-         > t.compact_factor *. float_of_int live
-    in
-    if must_rewrite then rewrite t else append t
+    Wal.write t.wal
+      ~compact:
+        (float_of_int (Wal.lines t.wal + t.pending_count)
+        > compact_factor *. float_of_int live)
+      (List.rev (commit_body t.pending_count :: t.pending))
+      (fun () ->
+        let records =
+          List.map session_body (sessions t) @ List.map batch_body (batches t)
+        in
+        records @ [ commit_body (List.length records) ]);
+    t.pending <- [];
+    t.pending_count <- 0
   end

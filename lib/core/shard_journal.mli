@@ -10,17 +10,18 @@
     recently applied batches from the retained batch records instead of
     applying them twice.
 
-    The format follows {!Seqdiv_core.Journal} (PR 5): versioned magic
-    line, context line pinning the run configuration, FNV-1a-digested
-    record lines, an append+fsync fast path, threshold compaction, and
-    torn-tail recovery.  One addition: records are grouped into
-    {e commit groups}.  A {!commit} appends the records buffered since
-    the last commit followed by a commit marker carrying the group
-    size; recovery applies only complete, committed groups and drops an
-    interrupted tail group whole.  This is what makes a flush atomic —
-    a crash mid-append can never leave session states advanced past a
-    batch without the batch record that says so (the window in which a
-    resent batch would be applied twice). *)
+    The records live in a {!Wal}, which owns the file layout, the
+    per-line digests, the fsync'd append and atomic rewrite, and
+    torn-tail recovery.  This module adds {e commit groups}.  A
+    {!commit} appends the records buffered since the last commit
+    followed by a commit marker [k <count>]; recovery applies only
+    complete, committed groups and drops an interrupted tail group
+    whole.  This is what makes a flush atomic — a crash mid-append can
+    never leave session states advanced past a batch without the batch
+    record that says so (the window in which a resent batch would be
+    applied twice).  The file is compacted into one group of the live
+    sessions and retained batches when its lines plus the pending
+    records exceed four times the live records. *)
 
 open Seqdiv_stream
 
@@ -53,18 +54,12 @@ type batch_record = {
 type t
 
 val start :
-  ?resume:bool ->
-  ?compact_factor:float ->
-  ?batch_history:int ->
-  context:string ->
-  string ->
-  t
+  ?resume:bool -> ?batch_history:int -> context:string -> string -> t
 (** Open (and, with [resume], load) the journal at the given path.
     [context] is one line pinning everything the journal's validity
     depends on; resuming against a different context raises {!Corrupt}.
     [batch_history] (default 64) bounds the retained batch records —
-    the re-acknowledgement window for resent batches.  [compact_factor]
-    as in {!Seqdiv_core.Journal.start}.
+    the re-acknowledgement window for resent batches.
     @raise Corrupt as described above.
     @raise Invalid_argument if [context] contains a newline. *)
 

@@ -88,16 +88,10 @@ let shard_of_session ~shards id =
   if shards <= 0 then
     (* lint: allow partiality — documented precondition *)
     invalid_arg (Printf.sprintf "Frame.shard_of_session: shards=%d" shards);
-  let z = Int64.add (Int64.of_int id) 0x9e3779b97f4a7c15L in
   let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xbf58476d1ce4e5b9L
+    let open Seqdiv_util.Hash in
+    splitmix64 (Int64.add (Int64.of_int id) golden_gamma)
   in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94d049bb133111ebL
-  in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int shards))
 
 (* --- validation --------------------------------------------------------- *)

@@ -1,19 +1,13 @@
 type t = { mutable state : int64 }
 
-let golden_gamma = 0x9E3779B97F4A7C15L
-
 let create ~seed = { state = Int64.of_int seed }
 
 let copy t = { state = t.state }
 
-(* SplitMix64 output function: one additive step then two xor-shift
-   multiplies (Steele, Lea & Flood 2014). *)
+(* SplitMix64: one additive step, then the finaliser. *)
 let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  t.state <- Int64.add t.state Hash.golden_gamma;
+  Hash.splitmix64 t.state
 
 let split t = { state = bits64 t }
 

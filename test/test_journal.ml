@@ -23,30 +23,36 @@ let sample_entries =
     entry ~detector:"markov" ~window:4 ~anomaly_size:3 Outcome.Blind;
   ]
 
+(* The empty context is a valid run description too: its line is the
+   bare "context " prefix. *)
 let test_roundtrip () =
-  with_path (fun path ->
-      let j = Journal.start ~context:"ctx a=1" path in
-      List.iter (Journal.record j) sample_entries;
-      Journal.flush j;
-      let j' = Journal.start ~resume:true ~context:"ctx a=1" path in
-      Alcotest.(check int) "all entries recovered"
-        (List.length sample_entries)
-        (Journal.recovered j');
-      Alcotest.(check int) "no torn lines" 0 (Journal.dropped_lines j');
-      List.iter
-        (fun e ->
-          match
-            Journal.lookup j' ~seed:e.Journal.seed ~detector:e.Journal.detector
-              ~window:e.Journal.window ~anomaly_size:e.Journal.anomaly_size
-          with
-          | Some o ->
-              Alcotest.(check bool)
-                (Printf.sprintf "outcome for %s w=%d" e.Journal.detector
-                   e.Journal.window)
-                true
-                (Outcome.equal o e.Journal.outcome)
-          | None -> Alcotest.fail "recorded entry missing after resume")
-        sample_entries)
+  List.iter
+    (fun context ->
+      with_path (fun path ->
+          let j = Journal.start ~context path in
+          List.iter (Journal.record j) sample_entries;
+          Journal.flush j;
+          let j' = Journal.start ~resume:true ~context path in
+          Alcotest.(check int) "all entries recovered"
+            (List.length sample_entries)
+            (Journal.recovered j');
+          Alcotest.(check int) "no torn lines" 0 (Journal.dropped_lines j');
+          List.iter
+            (fun e ->
+              match
+                Journal.lookup j' ~seed:e.Journal.seed
+                  ~detector:e.Journal.detector ~window:e.Journal.window
+                  ~anomaly_size:e.Journal.anomaly_size
+              with
+              | Some o ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "outcome for %s w=%d" e.Journal.detector
+                       e.Journal.window)
+                    true
+                    (Outcome.equal o e.Journal.outcome)
+              | None -> Alcotest.fail "recorded entry missing after resume")
+            sample_entries))
+    [ "ctx a=1"; "" ]
 
 let test_flush_idempotent_and_atomic () =
   with_path (fun path ->

@@ -281,6 +281,38 @@ let test_r6_whitelist () =
   Alcotest.(check (list string)) "suppressed" []
     (rules_of (find_rule "R6" diags))
 
+(* R13: fsync and rename outside the write-ahead log. *)
+let r13_body =
+  "let sync oc = Unix.fsync (Unix.descr_of_out_channel oc)\n\
+   let swap a b = Sys.rename a b\n\
+   let swap' a b = Stdlib.Sys.rename a b; Unix.rename b a\n"
+
+let r13_mli =
+  "val sync : out_channel -> unit\n\
+   val swap : string -> string -> unit\n\
+   val swap' : string -> string -> unit\n"
+
+let test_r13_outside_wal () =
+  let diags =
+    run_on
+      [ file "lib/core/journal.ml" r13_body; file "lib/core/journal.mli" r13_mli ]
+  in
+  let r13 = find_rule "R13" diags in
+  Alcotest.(check (list int)) "lines" [ 1; 2; 3; 3 ]
+    (List.map (fun d -> d.Diagnostic.line) r13);
+  List.iter
+    (fun d ->
+      Alcotest.(check string) "name" "durability" d.Diagnostic.rule_name;
+      Alcotest.(check bool) "is error" true (Diagnostic.is_error d))
+    r13
+
+(* The write-ahead log is the one place durable writes live. *)
+let test_r13_exempts_wal () =
+  let diags =
+    run_on [ file "lib/core/wal.ml" r13_body; file "lib/core/wal.mli" r13_mli ]
+  in
+  Alcotest.(check (list string)) "no diagnostics" [] (rules_of diags)
+
 (* R7: string-key lookups inside a detector score path. *)
 let r7_bad_ml =
   "let score_range m trace lo hi =\n\
@@ -823,6 +855,8 @@ let () =
             test_r12_bare_allow_warns;
           Alcotest.test_case "R12 justified clean" `Quick
             test_r12_justified_clean;
+          Alcotest.test_case "R13 outside wal" `Quick test_r13_outside_wal;
+          Alcotest.test_case "R13 exempts wal" `Quick test_r13_exempts_wal;
           Alcotest.test_case "rendering" `Quick test_diagnostic_rendering;
         ] );
     ]

@@ -51,33 +51,42 @@ let session_ids j =
 let batch_ids j =
   List.map (fun b -> b.Shard_journal.jb_id) (Shard_journal.batches j)
 
+(* The empty context is a valid run description too: its line is the
+   bare "context " prefix. *)
 let test_roundtrip () =
-  with_temp (fun path ->
-      let j = Shard_journal.start ~context path in
-      commit_group j
-        [ session 3; session 1 ~open_incident:incident ]
-        []
-        [ batch 0 ~incidents:[ Frame.Opened { session = 1; position = 95 } ] ];
-      commit_group j [ session 2 ] [ 3 ] [ batch 1 ];
-      let r = Shard_journal.start ~resume:true ~context path in
-      Alcotest.(check (list int)) "live sessions, ascending" [ 1; 2 ]
-        (session_ids r);
-      Alcotest.(check (list int)) "batches oldest first" [ 0; 1 ] (batch_ids r);
-      Alcotest.(check int) "nothing dropped" 0 (Shard_journal.dropped_lines r);
-      let s1 =
-        List.find
-          (fun s -> s.Shard_journal.js_session = 1)
-          (Shard_journal.sessions r)
-      in
-      Alcotest.(check bool) "open incident survives" true
-        (match s1.Shard_journal.js_open with
-        | Some i -> i = incident
-        | None -> false);
-      match Shard_journal.batches r with
-      | [ b0; _ ] ->
-          Alcotest.(check int) "incident events retained" 1
-            (List.length b0.Shard_journal.jb_incidents)
-      | _ -> Alcotest.fail "expected two batch records")
+  List.iter
+    (fun context ->
+      with_temp (fun path ->
+          let j = Shard_journal.start ~context path in
+          commit_group j
+            [ session 3; session 1 ~open_incident:incident ]
+            []
+            [
+              batch 0 ~incidents:[ Frame.Opened { session = 1; position = 95 } ];
+            ];
+          commit_group j [ session 2 ] [ 3 ] [ batch 1 ];
+          let r = Shard_journal.start ~resume:true ~context path in
+          Alcotest.(check (list int)) "live sessions, ascending" [ 1; 2 ]
+            (session_ids r);
+          Alcotest.(check (list int)) "batches oldest first" [ 0; 1 ]
+            (batch_ids r);
+          Alcotest.(check int) "nothing dropped" 0
+            (Shard_journal.dropped_lines r);
+          let s1 =
+            List.find
+              (fun s -> s.Shard_journal.js_session = 1)
+              (Shard_journal.sessions r)
+          in
+          Alcotest.(check bool) "open incident survives" true
+            (match s1.Shard_journal.js_open with
+            | Some i -> i = incident
+            | None -> false);
+          match Shard_journal.batches r with
+          | [ b0; _ ] ->
+              Alcotest.(check int) "incident events retained" 1
+                (List.length b0.Shard_journal.jb_incidents)
+          | _ -> Alcotest.fail "expected two batch records"))
+    [ context; "" ]
 
 let test_latest_record_wins () =
   with_temp (fun path ->
