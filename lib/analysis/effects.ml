@@ -80,7 +80,7 @@ let guarded g ~hot =
   fun id ->
     match Hashtbl.find_opt in_g (key id) with Some b -> b | None -> false
 
-let per_window g ~score =
+let per_window g ~score ~seeds =
   let marked = Hashtbl.create 64 in
   let rec visit id =
     if not (Hashtbl.mem marked (key id)) then begin
@@ -90,6 +90,7 @@ let per_window g ~score =
       | Some fn -> List.iter visit (internal_callees fn)
     end
   in
+  List.iter visit seeds;
   List.iter
     (fun (fn : Callgraph.fn) ->
       List.iter

@@ -17,10 +17,17 @@ val guarded : Callgraph.t -> hot:Callgraph.fn list -> Callgraph.fn_id -> bool
     reaches a checkpoint nor has any guarded hot caller is unguarded —
     R9 flags it if it loops. *)
 
-val per_window : Callgraph.t -> score:Callgraph.fn list -> Callgraph.fn_id -> bool
+val per_window :
+  Callgraph.t ->
+  score:Callgraph.fn list ->
+  seeds:Callgraph.fn_id list ->
+  Callgraph.fn_id ->
+  bool
 (** Nodes that run once per scored window: the closure over internal
-    callees of the in-loop call sites of the score set.  Any
-    allocation inside such a node is a per-window allocation (R11). *)
+    callees of [seeds] (entries per-window by definition, such as the
+    per-symbol {!Reach.per_symbol_roots}) and of the in-loop call
+    sites of the score set.  Any allocation inside such a node is a
+    per-window allocation (R11). *)
 
 val raisable : hot:Callgraph.fn list -> (string * (string * int * int)) list
 (** Exception constructors raisable anywhere in the hot set, sorted by

@@ -16,8 +16,13 @@ let task_entries =
 
 let score_fn_names = [ "score"; "score_range"; "compiled_score_range" ]
 
+(* Entries called once per stream symbol: per-window by definition, so
+   their own bodies are held to R11 too, not only their in-loop calls. *)
+let per_symbol_entries = [ ("Online", "advance") ]
+
 let score_entries =
-  [
+  per_symbol_entries
+  @ [
     ("Scoring", "outcome");
     ("Scoring", "incident_response");
     ("Scoring", "outcome_of_response");
@@ -45,6 +50,7 @@ let roots_of g ~names ~entries =
 
 let hot_roots g = roots_of g ~names:hot_fn_names ~entries:task_entries
 let score_roots g = roots_of g ~names:score_fn_names ~entries:score_entries
+let per_symbol_roots g = roots_of g ~names:[] ~entries:per_symbol_entries
 
 let reachable g ~roots =
   let visited = Hashtbl.create 64 in

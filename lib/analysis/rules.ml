@@ -69,8 +69,9 @@ let concurrency =
     name = "concurrency";
     severity = Diagnostic.Error;
     doc =
-      "library code must not touch Domain/Atomic/Mutex/Condition/Semaphore \
-       outside lib/util/pool.ml and lib/core/serve.ml: all parallelism flows \
+      "library code must not touch \
+       Domain/Thread/Atomic/Mutex/Condition/Semaphore outside \
+       lib/util/pool.ml and lib/core/serve.ml: all parallelism flows \
        through the pool (or the serve shard loop) so the determinism \
        contract stays auditable";
   }
@@ -290,7 +291,8 @@ let output_violation parts =
 (* R6: the concurrency primitives are legitimate only inside the worker
    pool; anywhere else in the library they would let order-dependent or
    racy computation reach results unaudited. *)
-let concurrency_modules = [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Semaphore" ]
+let concurrency_modules =
+  [ "Domain"; "Thread"; "Atomic"; "Mutex"; "Condition"; "Semaphore" ]
 
 let concurrency_violation parts =
   match parts with
@@ -317,7 +319,7 @@ let path_in paths (src : Source.t) =
 
 (* Standing R6 exemptions.  [pool.ml] is the worker pool itself.
    [serve.ml] is the one long-running server module: it owns the
-   listener socket, the per-connection reader/writer domains and the
+   listener socket, the per-connection reader/writer threads and the
    bounded shard queues, which cannot be expressed as pool tasks (they
    are not a finite batch of pure closures but live, stateful loops).
    Its determinism contract is enforced externally instead: the
@@ -808,7 +810,7 @@ let alloc_kind_message = function
   | Callgraph.Append -> "append (^/@) allocates"
 
 let check_allocations g ~score =
-  let pw = Effects.per_window g ~score in
+  let pw = Effects.per_window g ~score ~seeds:(Reach.per_symbol_roots g) in
   let diag_loc (loc : Location.t) message =
     let p = loc.Location.loc_start in
     fun path ->

@@ -13,10 +13,11 @@
     - [R5 detector-contract] — every detector packed into
       [lib/detectors/registry.ml] exposes the [Detector.S] contract
       ([name] / [train] / [score]).
-    - [R6 concurrency] — [Domain] / [Atomic] / [Mutex] / [Condition] /
-      [Semaphore] in library code are confined to [lib/util/pool.ml]
-      (or a [lint: allow concurrency] site), so every place parallelism
-      can enter a result is auditable.
+    - [R6 concurrency] — [Domain] / [Thread] / [Atomic] / [Mutex] /
+      [Condition] / [Semaphore] in library code are confined to
+      [lib/util/pool.ml] and [lib/core/serve.ml] (or a
+      [lint: allow concurrency] site), so every place parallelism can
+      enter a result is auditable.
     - [R7 hot-path] — detector [score] / [score_range] bodies (in
       [lib/detectors]) must not build window strings ([Trace.key]) or
       run string-keyed / hash-table lookups per window; scoring descends
@@ -40,8 +41,9 @@
       supervised-task path must have an explicit [Fault.classify]
       case.  Escape hatch: [lint: allow fault-custody].
     - [R11 allocation] — no closure construction, partial application,
-      or boxed allocation on the per-window scoring path.  Escape
-      hatch: [lint: allow allocation].
+      or boxed allocation on the per-window scoring path, which
+      includes the per-symbol [Online.advance] and all it calls.
+      Escape hatch: [lint: allow allocation].
 
     One more per-file rule guards crash safety:
 

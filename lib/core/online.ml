@@ -9,18 +9,18 @@ type event =
 (* Two scoring paths behind one monitor:
 
    - [Automaton]: a compiled flat-automaton scorer steps once per fed
-     symbol — O(1) per symbol, no buffering, no per-window allocation.
+     symbol — O(1) per symbol, no buffering; through [advance], a quiet
+     window allocates nothing.
    - [Window_slide]: the reference path.  A ring buffer keeps the last
      [window] symbols; each completed window is materialised as a
      one-window trace and scored through the trained model.
 
    The [Detector.S.compile] contract makes the two emit bit-identical
    events on every valid stream (asserted by test_flat_automaton). *)
+type automaton = { scorer : Flat_automaton.scorer; mutable state : int }
+
 type path =
-  | Automaton of {
-      scorer : Flat_automaton.scorer;
-      mutable state : int;
-    }
+  | Automaton of automaton
   | Window_slide of {
       trained : Trained.t;
       alphabet : Alphabet.t;
@@ -118,116 +118,177 @@ let alarm_windows t =
   | None -> t.alarmed
 
 let incidents t = List.rev t.closed
+let open_incident t = t.open_incident
+
+let last_closed t =
+  match t.closed with [] -> None | incident :: _ -> Some incident
+
+(* --- the incident rules ------------------------------------------------- *)
+
+(* Transition bits of one symbol. *)
+let closed_bit = 1
+let opened_bit = 2
+
+(* Start of the window the last symbol completed. *)
+let[@inline] window_start t = t.consumed - t.window
+
+let close_incident t =
+  match t.open_incident with
+  | None -> 0
+  | Some incident ->
+      t.open_incident <- None;
+      (* lint: allow allocation — one list cell per closed incident, not per window *)
+      t.closed <- incident :: t.closed;
+      closed_bit
+
+(* Incident bookkeeping for one completed window — shared by both paths
+   (and by [advance] and [feed]) so they can only differ through the
+   score itself.  A window that did not alarm closes the open incident
+   once it starts past the incident's cover. *)
+let[@inline] pass t =
+  t.scored <- t.scored + 1;
+  match t.open_incident with
+  | Some incident when window_start t > incident.Incident.cover_to ->
+      close_incident t
+  | Some _ | None -> 0
+
+(* A window that alarmed with [score] grows the open incident when it
+   starts inside or right after its cover; otherwise it closes that
+   incident and opens a new one.  Incident records are allocated here,
+   on alarm windows only. *)
+let alarm t score =
+  t.scored <- t.scored + 1;
+  t.alarmed <- t.alarmed + 1;
+  let start = window_start t in
+  let cover_to = start + t.window - 1 in
+  match t.open_incident with
+  | Some incident when start <= incident.Incident.cover_to + 1 ->
+      t.open_incident <-
+        Some
+          {
+            incident with
+            Incident.last_start = start;
+            cover_to = Stdlib.max incident.Incident.cover_to cover_to;
+            alarms = incident.Incident.alarms + 1;
+            peak_score = Float.max incident.Incident.peak_score score;
+          };
+      0
+  | Some _ | None ->
+      let bits = close_incident t in
+      t.open_incident <-
+        Some
+          {
+            Incident.first_start = start;
+            last_start = start;
+            cover_from = start;
+            cover_to;
+            alarms = 1;
+            peak_score = score;
+          };
+      bits lor opened_bit
+
+(* The alarm decision for a window whose score is in hand, made at the
+   {e pre-update} threshold: the window being judged must not move the
+   bar it is judged against.  The rules differ at the boundary: the
+   static path alarms at-or-above its fixed threshold, while the
+   adaptive controller alarms strictly above its tracked quantile (the
+   quantile value can be a heavy atom of the score distribution, and
+   charging that atom would blow the budget). *)
+let[@inline] judge t score =
+  let alarmed =
+    match t.adaptive with
+    | Some a -> Adaptive_threshold.step a score
+    | None -> score >= t.threshold
+  in
+  if alarmed then alarm t score else pass t
+
+(* --- per symbol --------------------------------------------------------- *)
+
+let bad_symbol symbol =
+  (* lint: allow partiality allocation — documented precondition; the message is built only on the raise *)
+  invalid_arg (Printf.sprintf "Online: symbol %d out of range" symbol)
+
+(* One symbol on the automaton path; true once it completes a window. *)
+let[@inline] step t a symbol =
+  (* The window path validates against its 255-symbol alphabet when a
+     completed window is materialised; the automaton path never
+     materialises one, so it validates here. *)
+  if symbol < 0 || symbol > 254 then bad_symbol symbol;
+  a.state <-
+    Flat_automaton.step (Flat_automaton.automaton a.scorer) a.state symbol;
+  t.consumed <- t.consumed + 1;
+  t.consumed >= t.window
+
+(* A static threshold is tested on the score table itself
+   ([state_alarms]), so a quiet window reads no score and allocates
+   nothing; the score is read only to open or grow an incident, or for
+   the adaptive controller. *)
+let advance t symbol =
+  match t.path with
+  | Automaton a -> (
+      if not (step t a symbol) then 0
+      else
+        match t.adaptive with
+        | Some _ -> judge t (Flat_automaton.state_score a.scorer a.state)
+        | None ->
+            if Flat_automaton.state_alarms a.scorer a.state t.threshold then
+              alarm t (Flat_automaton.state_score a.scorer a.state)
+            else pass t)
+  | Window_slide _ ->
+      (* lint: allow partiality — documented precondition *)
+      invalid_arg "Online.advance: monitor is on the window-rescoring path"
+
+(* --- with events -------------------------------------------------------- *)
 
 let current_window t buffer =
   (* Oldest-first view of the ring buffer. *)
   Array.init t.window (fun i -> buffer.((t.consumed + i) mod t.window))
 
-let item_of_score t score =
-  {
-    Response.start = t.consumed - t.window;
-    cover = t.window;
-    score;
-  }
+(* The reference path: the completed window materialised as a one-window
+   trace and scored through the trained model. *)
+let rescore t trained alphabet buffer =
+  let window_trace = Trace.of_array alphabet (current_window t buffer) in
+  let response = Trained.score_range trained window_trace ~lo:0 ~hi:0 in
+  if Response.length response = 0 then 0.0
+  else response.Response.items.(0).Response.score
 
-let grow_incident incident (item : Response.item) =
-  {
-    incident with
-    Incident.last_start = item.Response.start;
-    cover_to =
-      Stdlib.max incident.Incident.cover_to
-        (item.Response.start + item.Response.cover - 1);
-    alarms = incident.Incident.alarms + 1;
-    peak_score = Float.max incident.Incident.peak_score item.Response.score;
-  }
+(* The events of one completed window, from its transition bits: the
+   incident a window closes is the newest in [closed]. *)
+let events t bits score =
+  let opened =
+    if bits land opened_bit = 0 then []
+    else [ Incident_opened (window_start t) ]
+  in
+  let closed =
+    match t.closed with
+    | incident :: _ when bits land closed_bit <> 0 ->
+        Incident_closed incident :: opened
+    | _ -> opened
+  in
+  Window_scored { Response.start = window_start t; cover = t.window; score }
+  :: closed
 
-let incident_of_item (item : Response.item) =
-  {
-    Incident.first_start = item.Response.start;
-    last_start = item.Response.start;
-    cover_from = item.Response.start;
-    cover_to = item.Response.start + item.Response.cover - 1;
-    alarms = 1;
-    peak_score = item.Response.score;
-  }
+let feed t symbol =
+  match t.path with
+  | Automaton a ->
+      if not (step t a symbol) then []
+      else
+        let score = Flat_automaton.state_score a.scorer a.state in
+        events t (judge t score) score
+  | Window_slide { trained; alphabet; buffer } ->
+      buffer.(t.consumed mod t.window) <- symbol;
+      t.consumed <- t.consumed + 1;
+      if t.consumed < t.window then []
+      else
+        let score = rescore t trained alphabet buffer in
+        events t (judge t score) score
 
-let close_incident t =
+let flush t =
   match t.open_incident with
   | None -> []
   | Some incident ->
-      t.open_incident <- None;
-      t.closed <- incident :: t.closed;
+      ignore (close_incident t);
       [ Incident_closed incident ]
-
-(* Incident bookkeeping for one completed window — shared verbatim by
-   both paths so they can only differ through the score itself.  The
-   alarm decision is made at the {e pre-update} threshold: the window
-   being judged must not move the bar it is judged against.  Note the
-   rules differ at the boundary: the static path alarms at-or-above its
-   fixed threshold, while the adaptive controller alarms strictly above
-   its tracked quantile (the quantile value can be a heavy atom of the
-   score distribution, and charging that atom would blow the budget). *)
-let emit t score =
-  let alarm =
-    match t.adaptive with
-    | Some a -> Adaptive_threshold.step a score
-    | None -> score >= t.threshold
-  in
-  t.scored <- t.scored + 1;
-  if alarm then t.alarmed <- t.alarmed + 1;
-  let item = item_of_score t score in
-  let scored = Window_scored item in
-  if alarm then
-    match t.open_incident with
-    | Some incident when item.Response.start <= incident.Incident.cover_to + 1
-      ->
-        t.open_incident <- Some (grow_incident incident item);
-        [ scored ]
-    | Some _ ->
-        let closed = close_incident t in
-        t.open_incident <- Some (incident_of_item item);
-        (scored :: closed) @ [ Incident_opened item.Response.start ]
-    | None ->
-        t.open_incident <- Some (incident_of_item item);
-        [ scored; Incident_opened item.Response.start ]
-  else
-    match t.open_incident with
-    | Some incident when item.Response.start > incident.Incident.cover_to ->
-        scored :: close_incident t
-    | Some _ | None -> [ scored ]
-
-let feed t symbol =
-  (match t.path with
-  | Automaton a ->
-      (* The window path validates against its 255-symbol alphabet when
-         a completed window is materialised; the automaton path never
-         materialises one, so it validates here. *)
-      if symbol < 0 || symbol > 254 then
-        (* lint: allow partiality — documented precondition *)
-        invalid_arg
-          (Printf.sprintf "Online.feed: symbol %d out of range" symbol);
-      a.state <-
-        Flat_automaton.step (Flat_automaton.automaton a.scorer) a.state symbol
-  | Window_slide w -> w.buffer.(t.consumed mod t.window) <- symbol);
-  t.consumed <- t.consumed + 1;
-  if t.consumed < t.window then []
-  else
-    let score =
-      match t.path with
-      | Automaton a -> Flat_automaton.state_score a.scorer a.state
-      | Window_slide w ->
-          let window_trace =
-            Trace.of_array w.alphabet (current_window t w.buffer)
-          in
-          let response =
-            Trained.score_range w.trained window_trace ~lo:0 ~hi:0
-          in
-          if Response.length response = 0 then 0.0
-          else response.Response.items.(0).Response.score
-    in
-    emit t score
-
-let flush t = close_incident t
 
 (* --- persistence (the serve layer's shard journals) -------------------- *)
 

@@ -57,9 +57,48 @@ val of_scorer :
 
 val feed : t -> int -> event list
 (** Push one symbol; returns the events it triggered, in order.  Until
-    [window] symbols have been seen nothing is emitted.  The symbol must
-    be a valid alphabet code for the detector's training alphabet
-    (validated by the underlying scorer). *)
+    [window] symbols have been seen nothing is emitted.  Symbols are
+    alphabet codes 0..254.  The automaton path checks that range itself
+    and raises [Invalid_argument] outside it; a symbol inside it but
+    beyond the model's alphabet steps the automaton to its root (it
+    extends no recorded sequence).  The window-rescoring path validates
+    each completed window against the 255-symbol alphabet and the
+    model's own tables. *)
+
+(** {1 Per symbol, without events}
+
+    {!feed} builds a [Window_scored] record (and its event list) for
+    every completed window.  A caller that needs only incident
+    transitions steps with {!advance} instead: it returns them as bits
+    and allocates nothing on a window that neither opens nor grows an
+    incident.  Both run the same incident rules, so they agree on every
+    stream. *)
+
+val closed_bit : int
+(** Set in {!advance}'s result when the symbol closed an incident; the
+    incident is {!last_closed}. *)
+
+val opened_bit : int
+(** Set when the symbol opened an incident; it is {!open_incident}, and
+    its [first_start] is the position of the [Incident_opened] event
+    {!feed} would emit.  A symbol can both close one incident and open
+    the next. *)
+
+val advance : t -> int -> int
+(** Push one symbol, as {!feed} does, and return its incident
+    transitions: [0], or {!closed_bit} and/or {!opened_bit}.  Under a
+    static threshold the alarm test reads the score table without
+    boxing the score; the score is read only on an alarming window.
+    The adaptive path still hands each score to its controller.
+    @raise Invalid_argument on a symbol outside 0..254, or on a
+    monitor on the window-rescoring path ([create ~compile:false], or
+    a model without a flat-automaton scorer): use {!feed} there. *)
+
+val open_incident : t -> Incident.t option
+(** The incident currently open, if any. *)
+
+val last_closed : t -> Incident.t option
+(** The most recently closed incident, if any. *)
 
 val flush : t -> event list
 (** Close any open incident (end of stream). *)

@@ -497,6 +497,7 @@ module P2 = struct
       invalid_arg "Quantile.P2.rank: NaN";
     if t.p_count < 5 then begin
       (* Exact from the sorted prefix. *)
+      (* lint: allow allocation — no closure captures the ref: it compiles to a local variable, not a heap cell *)
       let c = ref 0 in
       for i = 0 to t.p_count - 1 do
         if Float.compare t.p_q.(i) x <= 0 then incr c
@@ -508,6 +509,7 @@ module P2 = struct
     else begin
       (* Linear interpolation between the bracketing markers'
          positions — heuristic, like everything P². *)
+      (* lint: allow allocation — no closure captures the ref: it compiles to a local variable, not a heap cell *)
       let i = ref 0 in
       while Float.compare t.p_q.(!i + 1) x <= 0 do
         incr i

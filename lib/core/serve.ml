@@ -1,10 +1,11 @@
-(* The serve loop: reader/writer domains per connection, one domain and
-   bounded ingress queue per shard, all-or-nothing batch admission,
-   journalled durability, and a shard lifecycle supervisor.  The ONE
+(* The serve loop: reader/writer threads per connection (all in the
+   accept domain), one domain and bounded ingress queue per shard,
+   all-or-nothing batch admission, journalled durability, and a shard
+   lifecycle supervisor.  The server runs shards + 1 domains.  The ONE
    module besides lib/util/pool.ml allowed to touch
-   Domain/Atomic/Mutex/Condition (lint R6 standing exemption — see
-   docs/LINTING.md): its loops are live stateful services, not a finite
-   batch of pure closures, so they cannot ride the pool.  The
+   Domain/Thread/Atomic/Mutex/Condition (lint R6 standing exemption —
+   see docs/LINTING.md): its loops are live stateful services, not a
+   finite batch of pure closures, so they cannot ride the pool.  The
    determinism the pool normally guarantees is enforced from outside
    instead, by the qcheck replay suite over Session_table.
 
@@ -118,13 +119,13 @@ type conn = {
      response can be produced before the first request decoded, so the
      writer always observes the set value. *)
   encoding : Frame.encoding option Atomic.t;
-  (* Set by the reader domain once the peer's write side is gone, read
-     by the accept loop to reap the connection's domains and fd so a
+  (* Set by the reader thread once the peer's write side is gone, read
+     by the accept loop to reap the connection's threads and fd so a
      long-lived server admits an unbounded sequence of clients under a
      bounded concurrent-connection limit. *)
   reader_done : bool Atomic.t;
   (* Flipped exactly once by [evict]; the fd itself is closed exactly
-     once, by the reaper, after both domains exited. *)
+     once, by the reaper, after both threads exited. *)
   evicted : bool Atomic.t;
 }
 
@@ -205,7 +206,7 @@ let evict t conn =
   if not (Atomic.exchange conn.evicted true) then begin
     Atomic.incr t.evictions;
     (* Shutdown, not close: the reader observes EOF and the reaper —
-       the single close site — releases the fd after both domains
+       the single close site — releases the fd after both threads
        exit, so it is closed exactly once. *)
     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   end
@@ -416,7 +417,12 @@ let route_batch t conn ~id events =
     else reject live_subs
   end
 
-(* --- per-connection domains --------------------------------------------- *)
+(* --- per-connection threads ---------------------------------------------- *)
+
+(* A connection's reader and writer are threads of the accept domain:
+   they block in read/write/select (which release the domain lock), and
+   decoding costs a few microseconds per thousand symbols, so one domain
+   keeps up with every shard. *)
 
 let reader_loop t conn =
   let buf = Bytes.create 65536 in
@@ -463,7 +469,7 @@ let reader_loop t conn =
 
 (* Write under a deadline: a peer that stops reading stalls the socket
    buffer, [select] times out, and the caller evicts — one stalled
-   client never wedges a writer domain (or, transitively, the shard
+   client never wedges a writer thread (or, transitively, the shard
    domains waiting to push acks to it). *)
 let write_with_deadline fd bytes ~timeout_ms =
   let len = Bytes.length bytes in
@@ -904,9 +910,9 @@ let run ?(on_ready = fun () -> ()) cfg =
   let lfd = listen_socket cfg.address in
   on_ready ();
   let conns = ref [] in
-  (* Retire connections whose peer has hung up: join the reader (it has
-     already exited), close the response channel so the writer flushes
-     what is queued and exits, then release the fd.  Without this the
+  (* Retire connections whose peer has hung up: join the reader thread
+     (it has already exited), close the response channel so the writer
+     flushes what is queued and exits, then release the fd.  Without this the
      connection list only grows and [max_connections] would cap the
      server's lifetime total instead of its concurrency. *)
   let reap () =
@@ -916,9 +922,9 @@ let run ?(on_ready = fun () -> ()) cfg =
     conns := live;
     List.iter
       (fun (c, rd, wd) ->
-        Domain.join rd;
+        Thread.join rd;
         channel_close c.out;
-        Domain.join wd;
+        Thread.join wd;
         Atomic.decr t.live_conns;
         try Unix.close c.fd with Unix.Unix_error _ -> ())
       finished
@@ -928,7 +934,7 @@ let run ?(on_ready = fun () -> ()) cfg =
     supervise t domains ~depth ~states;
     answer_drain t;
     (* A poll instead of a blocking accept, so a Quit observed by any
-       reader domain stops the loop within one tick. *)
+       reader thread stops the loop within one tick. *)
     match Unix.select [ lfd ] [] [] 0.05 with
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
@@ -948,8 +954,8 @@ let run ?(on_ready = fun () -> ()) cfg =
                 }
               in
               Atomic.incr t.live_conns;
-              let rd = Domain.spawn (fun () -> reader_loop t conn) in
-              let wd = Domain.spawn (fun () -> writer_loop t conn) in
+              let rd = Thread.create (reader_loop t) conn in
+              let wd = Thread.create (writer_loop t) conn in
               conns := (conn, rd, wd) :: !conns
             end)
   done;
@@ -964,7 +970,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
       with Unix.Unix_error _ -> ())
     !conns;
-  List.iter (fun (_, rd, _) -> Domain.join rd) !conns;
+  List.iter (fun (_, rd, _) -> Thread.join rd) !conns;
   Array.iter (fun sh -> channel_close sh.queue) shard_tab;
   Array.iter (function Some d -> Domain.join d | None -> ()) domains;
   (* A crash racing the shutdown leaves a poisoned shard with work in
@@ -985,7 +991,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       end)
     shard_tab;
   List.iter (fun (c, _, _) -> channel_close c.out) !conns;
-  List.iter (fun (_, _, wd) -> Domain.join wd) !conns;
+  List.iter (fun (_, _, wd) -> Thread.join wd) !conns;
   List.iter
     (fun (c, _, _) -> try Unix.close c.fd with Unix.Unix_error _ -> ())
     !conns;

@@ -3,9 +3,11 @@
 
     Sessions are routed by {!Seqdiv_stream.Frame.shard_of_session} to
     [shards] single-domain {!Session_table}s, all stepping one shared
-    read-only compiled scorer.  Each connection gets a reader domain
-    (decode, route, admit) and a writer domain (encode, send); each
-    shard owns a bounded ingress queue of sub-batches.
+    read-only compiled scorer.  Each connection gets a reader thread
+    (decode, route, admit) and a writer thread (encode, send), all in
+    the accept domain, so the server runs [shards + 1] domains whatever
+    the number of connections; each shard owns a domain and a bounded
+    ingress queue of sub-batches.
 
     {b Backpressure is honest}: admission is all-or-nothing across the
     shards a batch touches — if any queue is full the whole batch is
@@ -50,7 +52,7 @@
     exactly once.
 
     This is the single module (with [lib/util/pool.ml]) allowed to
-    touch Domain/Mutex/Condition/Atomic — lint rule R6 carries a
+    touch Domain/Thread/Mutex/Condition/Atomic — lint rule R6 carries a
     standing exemption for it, justified in docs/LINTING.md. *)
 
 open Seqdiv_stream

@@ -21,10 +21,10 @@ type t = {
   mutable symbols : int;
   mutable batches : int;
   mutable replays : int;
-  (* Window/alarm counts of sessions that have already ended: the
-     shard totals are these plus a sum over resident monitors. *)
-  mutable departed_windows : int;
-  mutable departed_alarms : int;
+  (* Running window/alarm totals: the restored monitors' counts, plus
+     each Data event's change to its monitor's counters. *)
+  mutable windows : int;
+  mutable alarms : int;
 }
 
 let dedup_capacity = 64
@@ -71,8 +71,8 @@ let create ~scorer ~threshold ?adaptive ?journal ~shard () =
       symbols = 0;
       batches = 0;
       replays = 0;
-      departed_windows = 0;
-      departed_alarms = 0;
+      windows = 0;
+      alarms = 0;
     }
   in
   Option.iter
@@ -89,6 +89,8 @@ let create ~scorer ~threshold ?adaptive ?journal ~shard () =
                 snap_adaptive = s.Shard_journal.js_adaptive;
               }
           in
+          t.windows <- t.windows + Online.windows_scored monitor;
+          t.alarms <- t.alarms + Online.alarm_windows monitor;
           Hashtbl.replace t.monitors s.Shard_journal.js_session monitor)
         (Shard_journal.sessions j);
       List.iter
@@ -99,23 +101,49 @@ let create ~scorer ~threshold ?adaptive ?journal ~shard () =
     journal;
   t
 
-(* Incident events of one monitor's Online events, appended in emission
-   order; Window_scored responses are the monitor's business, not the
-   wire's. *)
-let push_incident_events acc session events =
-  List.iter
-    (fun (e : Online.event) ->
-      match e with
-      | Online.Window_scored _ -> ()
-      | Online.Incident_opened position ->
-          acc := Frame.Opened { session; position } :: !acc
-      | Online.Incident_closed incident ->
-          acc :=
-            Frame.Closed { session; incident = incident_of_core incident }
-            :: !acc)
-    events
+let push_closed acc session incident =
+  acc := Frame.Closed { session; incident = incident_of_core incident } :: !acc
+
+(* The incident events of one symbol's {!Online.advance} bits, appended
+   in emission order: a close comes before the open it makes room
+   for. *)
+let push_transitions acc session monitor bits =
+  if bits land Online.closed_bit <> 0 then
+    Option.iter (push_closed acc session) (Online.last_closed monitor);
+  if bits land Online.opened_bit <> 0 then
+    Option.iter
+      (fun (i : Incident.t) ->
+        let position = i.Incident.first_start in
+        acc := Frame.Opened { session; position } :: !acc)
+      (Online.open_incident monitor)
 
 let checkpoint_stride = 1024
+
+(* Step one Data event's symbols.  [stepped] counts the batch's symbols
+   so far: the deadline is polled every [checkpoint_stride] of them. *)
+let step_symbols acc stepped session monitor symbols =
+  for i = 0 to Array.length symbols - 1 do
+    let bits = Online.advance monitor symbols.(i) in
+    if bits <> 0 then push_transitions acc session monitor bits;
+    incr stepped;
+    if !stepped mod checkpoint_stride = 0 then Deadline.checkpoint ()
+  done
+
+(* Add a monitor's counter changes since [windows]/[alarms] to the
+   shard's running totals. *)
+let settle t monitor ~windows ~alarms =
+  t.windows <- t.windows + Online.windows_scored monitor - windows;
+  t.alarms <- t.alarms + Online.alarm_windows monitor - alarms
+
+let monitor_for t session =
+  match Hashtbl.find_opt t.monitors session with
+  | Some m -> m
+  | None ->
+      let m =
+        Online.of_scorer ?adaptive:t.adaptive t.scorer ~threshold:t.threshold
+      in
+      Hashtbl.replace t.monitors session m;
+      m
 
 let apply t ~batch_id events =
   match Hashtbl.find_opt t.dedup batch_id with
@@ -129,52 +157,41 @@ let apply t ~batch_id events =
       let touched = Hashtbl.create 16 in
       let touched_order = ref [] in
       let ended = Hashtbl.create 4 in
-      let since_checkpoint = ref 0 in
+      let touch session =
+        if not (Hashtbl.mem touched session) then begin
+          Hashtbl.replace touched session ();
+          touched_order := session :: !touched_order
+        end
+      in
+      let stepped = ref 0 in
       List.iter
         (fun (event : Frame.event) ->
           t.events <- t.events + 1;
           match event with
           | Frame.Data { session; symbols } ->
-              let monitor =
-                match Hashtbl.find_opt t.monitors session with
-                | Some m -> m
-                | None ->
-                    let m =
-                      Online.of_scorer ?adaptive:t.adaptive t.scorer
-                        ~threshold:t.threshold
-                    in
-                    Hashtbl.replace t.monitors session m;
-                    m
-              in
-              if not (Hashtbl.mem touched session) then begin
-                Hashtbl.replace touched session ();
-                touched_order := session :: !touched_order
-              end;
+              let monitor = monitor_for t session in
+              touch session;
               Hashtbl.remove ended session;
               t.symbols <- t.symbols + Array.length symbols;
-              Array.iter
-                (fun symbol ->
-                  push_incident_events acc session (Online.feed monitor symbol);
-                  incr since_checkpoint;
-                  if !since_checkpoint >= checkpoint_stride then begin
-                    since_checkpoint := 0;
-                    Deadline.checkpoint ()
-                  end)
-                symbols
+              let windows = Online.windows_scored monitor in
+              let alarms = Online.alarm_windows monitor in
+              (match step_symbols acc stepped session monitor symbols with
+              | () -> settle t monitor ~windows ~alarms
+              (* lint: allow swallow — re-raised at once: a batch cut short keeps the totals in step with its monitors *)
+              | exception exn ->
+                  settle t monitor ~windows ~alarms;
+                  raise exn)
           | Frame.End_of_session { session } -> (
               match Hashtbl.find_opt t.monitors session with
               | None -> () (* unknown or already ended: nothing to flush *)
               | Some monitor ->
-                  push_incident_events acc session (Online.flush monitor);
-                  t.departed_windows <-
-                    t.departed_windows + Online.windows_scored monitor;
-                  t.departed_alarms <-
-                    t.departed_alarms + Online.alarm_windows monitor;
+                  List.iter
+                    (function
+                      | Online.Incident_closed i -> push_closed acc session i
+                      | Online.Window_scored _ | Online.Incident_opened _ -> ())
+                    (Online.flush monitor);
                   Hashtbl.remove t.monitors session;
-                  if not (Hashtbl.mem touched session) then begin
-                    Hashtbl.replace touched session ();
-                    touched_order := session :: !touched_order
-                  end;
+                  touch session;
                   Hashtbl.replace ended session ()))
         events;
       let incidents = List.rev !acc in
@@ -221,19 +238,8 @@ let symbols_applied t = t.symbols
 let batches_applied t = t.batches
 let batches_replayed t = t.replays
 
-(* Shard totals are departed counters plus a sum over resident
-   monitors. *)
-let windows_scored t =
-  (* lint: allow determinism — integer sum is order-insensitive *)
-  Hashtbl.fold
-    (fun _ monitor total -> total + Online.windows_scored monitor)
-    t.monitors t.departed_windows
-
-let alarm_windows t =
-  (* lint: allow determinism — integer sum is order-insensitive *)
-  Hashtbl.fold
-    (fun _ monitor total -> total + Online.alarm_windows monitor)
-    t.monitors t.departed_alarms
+let windows_scored t = t.windows
+let alarm_windows t = t.alarms
 
 (* The shard's published threshold: static configurations report the
    configured constant; adaptive ones report the maximum over resident

@@ -43,7 +43,9 @@ val create :
 
 val apply : t -> batch_id:int -> Frame.event list -> Frame.incident_event list
 (** Apply one sub-batch (already routed to this shard) and return the
-    incident events it emitted, in emission order.  Feeding polls
+    incident events it emitted, in emission order.  Symbols are stepped
+    through {!Online.advance}, so a symbol that neither opens nor
+    closes an incident allocates nothing.  Feeding polls
     {!Seqdiv_util.Deadline.checkpoint} every 1024 symbols, so an armed
     per-batch deadline can interrupt a runaway batch.  A [batch_id]
     already in the retained history is {e not} re-applied: its recorded
@@ -63,14 +65,15 @@ val batches_replayed : t -> int
 (** Resent batches answered from history without re-applying. *)
 
 val windows_scored : t -> int
-(** Completed windows judged by this shard: departed sessions plus a
-    sum over resident monitors.  Exactly-once across kill/resume under
-    adaptive thresholding (the counts ride in the journal); on the
-    static path resident counts restart at the resumable position. *)
+(** Completed windows judged by this shard: the restored monitors'
+    counts plus every window judged since {!create} — a running total,
+    O(1) to read.  Exactly-once across kill/resume under adaptive
+    thresholding (the counts ride in the journal); on the static path a
+    restored monitor's count restarts at its resumable position. *)
 
 val alarm_windows : t -> int
 (** Windows that alarmed, with the same exactness contract as
-    {!windows_scored}. *)
+    {!windows_scored} (a restored static monitor contributes 0). *)
 
 val current_threshold : t -> float
 (** The shard's published alarm threshold: the configured constant on

@@ -151,6 +151,11 @@ let automaton scorer = scorer.auto
 (* Safe for the same reason as [step]: [scores] has exactly [states]
    entries ([make_scorer] / [scorer_of_tables]). *)
 let state_score scorer state = Bigarray.Array1.unsafe_get scorer.scores state
+
+(* The comparison stays inside this module, on the unboxed table read:
+   a float returned across the module boundary would be boxed. *)
+let state_alarms scorer state threshold =
+  Bigarray.Array1.unsafe_get scorer.scores state >= threshold
 let score_table scorer = scorer.scores
 
 (* --- reassembly from raw tables (the mmap-load path) -------------------- *)

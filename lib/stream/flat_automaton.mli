@@ -84,6 +84,12 @@ val automaton : scorer -> t
 val state_score : scorer -> int -> float
 (** The precomputed response of a state.  Allocation-free. *)
 
+val state_alarms : scorer -> int -> float -> bool
+(** [state_alarms scorer state threshold] is
+    [state_score scorer state >= threshold], decided without boxing the
+    score: the per-symbol alarm test of a static threshold.
+    Allocation-free. *)
+
 val score_table : scorer -> score_table
 (** The backing table (read-only view), for serialisation. *)
 

@@ -1044,10 +1044,15 @@ type reader = {
   mutable buf : bytes;
   mutable start : int;  (* first unconsumed byte *)
   mutable fill : int;  (* end of valid data *)
+  (* Where the ndjson newline search resumes: [start, scan) holds no
+     newline, so a line fed in small chunks is scanned once, not once
+     per chunk. *)
+  mutable scan : int;
   mutable enc : encoding option;
 }
 
-let reader () = { buf = Bytes.create 4096; start = 0; fill = 0; enc = None }
+let reader () =
+  { buf = Bytes.create 4096; start = 0; fill = 0; scan = 0; enc = None }
 
 let available r = r.fill - r.start
 
@@ -1058,6 +1063,8 @@ let feed_bytes r src ~pos ~len =
   let cap = Bytes.length r.buf in
   if r.fill + len > cap then begin
     let live = available r in
+    (* Both branches move the live bytes to offset 0. *)
+    r.scan <- Stdlib.max 0 (r.scan - r.start);
     if live + len <= cap && r.start > 0 then begin
       (* compaction is enough *)
       Bytes.blit r.buf r.start r.buf 0 live;
@@ -1111,23 +1118,31 @@ let next_binary_payload r =
     end
   end
 
+(* The first newline in [i, fill), or [fill] when there is none. *)
+let rec newline_from buf i fill =
+  if i >= fill || Bytes.get buf i = '\n' then i
+  else newline_from buf (i + 1) fill
+
 (* One complete ndjson line (sans newline), skipping blank lines. *)
 let rec next_line r =
-  match Bytes.index_from_opt r.buf r.start '\n' with
-  | Some i when i < r.fill ->
-      let line = Bytes.sub_string r.buf r.start (i - r.start) in
-      r.start <- i + 1;
-      let line =
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      if String.for_all (fun c -> c = ' ' || c = '\t') line then next_line r
-      else Some line
-  | Some _ | None ->
-      if available r > max_payload then
-        Parse_error.fail "Frame: ndjson line exceeds %d bytes" max_payload;
-      None
+  let i = newline_from r.buf (Stdlib.max r.scan r.start) r.fill in
+  r.scan <- i;
+  if i < r.fill then begin
+    let line = Bytes.sub_string r.buf r.start (i - r.start) in
+    r.start <- i + 1;
+    let line =
+      if String.length line > 0 && line.[String.length line - 1] = '\r' then
+        String.sub line 0 (String.length line - 1)
+      else line
+    in
+    if String.for_all (fun c -> c = ' ' || c = '\t') line then next_line r
+    else Some line
+  end
+  else begin
+    if available r > max_payload then
+      Parse_error.fail "Frame: ndjson line exceeds %d bytes" max_payload;
+    None
+  end
 
 let next_frame r ~binary ~ndjson =
   match sniff r with

@@ -407,6 +407,43 @@ let prop_roundtrip encoding name =
       | [ decoded ] -> request_equal batch decoded
       | _ -> false)
 
+(* A long ndjson line that arrives in 64-byte chunks, decoded after
+   every chunk as a connection reader does, must decode in time linear
+   in its length: the newline search resumes where the last one
+   stopped.  The cap is loose (about 0.1 s here); a reader that rescans
+   the line from its start on every chunk needs several seconds. *)
+let test_trickled_ndjson_line () =
+  let events =
+    List.init 128 (fun session ->
+        Frame.Data
+          { session; symbols = Array.init 1000 (fun i -> (i * 7) mod 255) })
+  in
+  let batch = Frame.Batch { id = 7; events } in
+  let buf = Buffer.create (1 lsl 19) in
+  Frame.write_request buf Frame.Ndjson batch;
+  let line = Buffer.to_bytes buf in
+  let n = Bytes.length line in
+  Alcotest.(check bool) "a line of 400 KB or more" true (n >= 400_000);
+  let whole, _ = decode_all Frame.next_request ~step:n buf in
+  let r = Frame.reader () in
+  let decoded = ref [] in
+  let t0 = Sys.time () in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = Stdlib.min 64 (n - !pos) in
+    Frame.feed_bytes r line ~pos:!pos ~len;
+    pos := !pos + len;
+    Option.iter (fun q -> decoded := q :: !decoded) (Frame.next_request r)
+  done;
+  let elapsed = Sys.time () -. t0 in
+  (match (whole, !decoded) with
+  | [ a ], [ b ] ->
+      Alcotest.(check bool) "same request as fed whole" true
+        (request_equal a b && request_equal batch b)
+  | _ -> Alcotest.fail "expected exactly one request each way");
+  if elapsed >= 1.0 then
+    Alcotest.failf "trickled decode took %.2f s (cap 1 s)" elapsed
+
 let () =
   Alcotest.run "frame"
     [
@@ -419,6 +456,8 @@ let () =
           Alcotest.test_case "write validation" `Quick test_write_validation;
           Alcotest.test_case "shard routing" `Quick test_shard_of_session;
           Alcotest.test_case "stable rendering" `Quick test_render_stable;
+          Alcotest.test_case "trickled ndjson line" `Quick
+            test_trickled_ndjson_line;
           prop_roundtrip Frame.Binary "binary batches roundtrip";
           prop_roundtrip Frame.Ndjson "ndjson batches roundtrip";
         ] );

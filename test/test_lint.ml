@@ -269,6 +269,37 @@ let test_r6_not_in_bin () =
   Alcotest.(check (list string)) "no R6 in bin" []
     (rules_of (find_rule "R6" diags))
 
+(* R6 covers systhreads too: a Thread outside the exempt modules is a
+   finding, inside serve.ml it is not. *)
+let r6_thread_ml = "let go f = Thread.join (Thread.create f ())\n"
+let r6_thread_mli = "val go : (unit -> unit) -> unit\n"
+
+let test_r6_thread_in_lib () =
+  let diags =
+    run_on
+      [
+        file "lib/core/relay.ml" r6_thread_ml;
+        file "lib/core/relay.mli" r6_thread_mli;
+      ]
+  in
+  match find_rule "R6" diags with
+  | d :: _ ->
+      Alcotest.(check string) "file" "lib/core/relay.ml" d.Diagnostic.file;
+      Alcotest.(check bool) "names Thread" true
+        (contains_sub d.Diagnostic.message "Thread")
+  | [] -> Alcotest.fail "expected an R6 diagnostic for Thread"
+
+let test_r6_thread_in_serve () =
+  let diags =
+    run_on
+      [
+        file "lib/core/serve.ml" r6_thread_ml;
+        file "lib/core/serve.mli" r6_thread_mli;
+      ]
+  in
+  Alcotest.(check (list string)) "no R6 in serve" []
+    (rules_of (find_rule "R6" diags))
+
 (* R6 honours the standard whitelist comment. *)
 let test_r6_whitelist () =
   let body =
@@ -733,6 +764,42 @@ let test_r11_flat_step_clean () =
   Alcotest.(check (list string)) "allocation-free step clean" []
     (rules_of (find_rule "R11" diags))
 
+(* [Online.advance] runs once per stream symbol: it is per-window by
+   definition, so an allocation in its own body (no loop needed) or in
+   a callee is a finding. *)
+let test_r11_advance_allocating () =
+  let online_ml =
+    "let judge t symbol = ref (t + symbol)\n\
+     let advance t symbol = fst (!(judge t symbol), t)\n"
+  in
+  let diags =
+    run_on
+      [
+        file "lib/core/online.ml" online_ml;
+        file "lib/core/online.mli"
+          "val judge : int -> int -> int ref\n\
+           val advance : int -> int -> int\n";
+      ]
+  in
+  Alcotest.(check (list int)) "the callee's ref and the entry's tuple" [ 1; 2 ]
+    (List.map (fun d -> d.Diagnostic.line) (find_rule "R11" diags))
+
+let test_r11_advance_clean () =
+  let online_ml =
+    "let judge t symbol = t + symbol\n\
+     let advance t symbol = judge t symbol land 3\n"
+  in
+  let diags =
+    run_on
+      [
+        file "lib/core/online.ml" online_ml;
+        file "lib/core/online.mli"
+          "val judge : int -> int -> int\nval advance : int -> int -> int\n";
+      ]
+  in
+  Alcotest.(check (list string)) "allocation-free advance clean" []
+    (rules_of (find_rule "R11" diags))
+
 (* --- R12: hygiene of the allow markers themselves ----------------------- *)
 
 let test_r12_unknown_token () =
@@ -806,6 +873,9 @@ let () =
           Alcotest.test_case "R6 exempts pool" `Quick test_r6_exempts_pool;
           Alcotest.test_case "R6 exempt in bin" `Quick test_r6_not_in_bin;
           Alcotest.test_case "R6 whitelist" `Quick test_r6_whitelist;
+          Alcotest.test_case "R6 thread in lib" `Quick test_r6_thread_in_lib;
+          Alcotest.test_case "R6 thread in serve" `Quick
+            test_r6_thread_in_serve;
           Alcotest.test_case "R7 score path" `Quick test_r7_score_path;
           Alcotest.test_case "R7 train exempt" `Quick test_r7_train_exempt;
           Alcotest.test_case "R7 detectors only" `Quick
@@ -849,6 +919,9 @@ let () =
             test_r11_flat_step_allocating;
           Alcotest.test_case "R11 flat step clean" `Quick
             test_r11_flat_step_clean;
+          Alcotest.test_case "R11 advance allocating" `Quick
+            test_r11_advance_allocating;
+          Alcotest.test_case "R11 advance clean" `Quick test_r11_advance_clean;
           Alcotest.test_case "R12 unknown token" `Quick test_r12_unknown_token;
           Alcotest.test_case "R12 empty marker" `Quick test_r12_empty_marker;
           Alcotest.test_case "R12 bare allow warns" `Quick

@@ -428,6 +428,89 @@ let prop_online_incidents_match_batch =
              && a.Incident.alarms = b.Incident.alarms)
            batch online)
 
+(* {1 Per symbol, without events} *)
+
+(* The incident events [advance]'s transition bits stand for, rebuilt
+   the way a caller does: a close before the open it makes room for. *)
+let advance_all monitor symbols =
+  List.concat_map
+    (fun s ->
+      let bits = Online.advance monitor s in
+      let closed =
+        match Online.last_closed monitor with
+        | Some i when bits land Online.closed_bit <> 0 ->
+            [ Online.Incident_closed i ]
+        | _ -> []
+      in
+      let opened =
+        match Online.open_incident monitor with
+        | Some i when bits land Online.opened_bit <> 0 ->
+            [ Online.Incident_opened i.Incident.first_start ]
+        | _ -> []
+      in
+      closed @ opened)
+    symbols
+
+let incident_events events =
+  List.filter
+    (function Online.Window_scored _ -> false | _ -> true)
+    events
+
+let prop_advance_matches_feed =
+  qcheck ~count:100 "advance transitions = feed incident events"
+    QCheck.(pair bool (list_of_size Gen.(0 -- 200) (int_bound 7)))
+    (fun (adaptive, symbols) ->
+      let scorer, threshold = compiled_stide () in
+      let adaptive =
+        if adaptive then Some (adaptive_cfg ~initial:threshold) else None
+      in
+      let fed = Online.of_scorer ?adaptive scorer ~threshold in
+      let stepped = Online.of_scorer ?adaptive scorer ~threshold in
+      incident_events (feed_all fed symbols) = advance_all stepped symbols
+      && Online.windows_scored fed = Online.windows_scored stepped
+      && Online.alarm_windows fed = Online.alarm_windows stepped
+      && Online.flush fed = Online.flush stepped
+      && Online.incidents fed = Online.incidents stepped)
+
+(* Minor-heap words allocated while advancing [monitor] over
+   [symbols]. *)
+let advance_words monitor symbols =
+  let before = Gc.minor_words () in
+  let transitions = ref 0 in
+  for i = 0 to Array.length symbols - 1 do
+    transitions := !transitions lor Online.advance monitor symbols.(i)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no incident transitions" 0 !transitions;
+  words
+
+let test_advance_allocates_nothing () =
+  (* Training windows never alarm, so every symbol here is a quiet one:
+     advancing N symbols and 2N symbols must cost the same. *)
+  let suite = tiny_suite () in
+  let training = Trace.to_array suite.Suite.training in
+  let scorer, threshold = compiled_stide () in
+  let monitor = Online.of_scorer scorer ~threshold in
+  let n = 4096 in
+  ignore (advance_words monitor (Array.sub training 0 64));
+  let once = advance_words monitor (Array.sub training 64 n) in
+  let twice = advance_words monitor (Array.sub training (64 + n) (2 * n)) in
+  Alcotest.(check (float 0.0)) "zero words per symbol" once twice;
+  Alcotest.(check int) "windows judged" ((3 * n) + 61)
+    (Online.windows_scored monitor)
+
+let test_advance_needs_automaton () =
+  let _, monitor = stide_monitor () in
+  ignore (Online.advance monitor 0);
+  let suite = tiny_suite () in
+  let stide =
+    Trained.train (Registry.find_exn "stide") ~window:4 suite.Suite.training
+  in
+  let slide = Online.create stide ~compile:false () in
+  match Online.advance slide 0 with
+  | _ -> Alcotest.fail "advance must refuse the window-rescoring path"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "online"
     [
@@ -460,5 +543,10 @@ let () =
           Alcotest.test_case "adaptive: restore mismatch" `Quick
             test_restore_adaptive_mismatch;
           prop_online_incidents_match_batch;
+          prop_advance_matches_feed;
+          Alcotest.test_case "advance: no allocation per symbol" `Quick
+            test_advance_allocates_nothing;
+          Alcotest.test_case "advance: automaton path only" `Quick
+            test_advance_needs_automaton;
         ] );
     ]

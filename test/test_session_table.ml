@@ -309,6 +309,161 @@ let test_dedup_without_journal () =
     (List.map Frame.render_incident_event first
     = List.map Frame.render_incident_event again)
 
+(* {1 The per-symbol path allocates nothing} *)
+
+let test_no_allocation_per_symbol () =
+  (* Four resident sessions, each fed the training stream (whose windows
+     never alarm) from where its last event stopped.  A batch of 2N
+     symbols must allocate exactly what a batch of N does: the batch
+     and event overhead is the same, and a quiet symbol costs 0 words. *)
+  let scorer, threshold = Lazy.force scorer_and_threshold in
+  let training = Trace.to_array (tiny_suite ()).Suite.training in
+  let table = Session_table.create ~scorer ~threshold ~shard:0 () in
+  let sessions = 4 in
+  let cursor = ref 0 in
+  let batch len =
+    let from = !cursor in
+    cursor := from + len;
+    List.init sessions (fun session ->
+        Frame.Data { session; symbols = Array.sub training from len })
+  in
+  (* Warm past the 64-batch dedup window, so remembering a batch also
+     forgets one, as it does in steady state. *)
+  for batch_id = 0 to 79 do
+    ignore (Session_table.apply table ~batch_id (batch 8))
+  done;
+  let words batch_id events =
+    let before = Gc.minor_words () in
+    let incidents = Session_table.apply table ~batch_id events in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "no incidents" 0 (List.length incidents);
+    words
+  in
+  let n = 1024 in
+  let once = batch n in
+  let twice = batch (2 * n) in
+  let once = words 80 once in
+  let twice = words 81 twice in
+  Alcotest.(check (float 0.0)) "zero words per symbol" once twice;
+  Alcotest.(check int) "resident" sessions
+    (Session_table.sessions_resident table)
+
+(* {1 Running window and alarm totals} *)
+
+(* What the totals stood for when they were folds: windows/alarms of
+   the sessions that ended, plus a sum over the resident monitors.
+   [reference] mirrors the table with one monitor per session. *)
+let test_running_totals () =
+  let scorer, threshold = Lazy.force scorer_and_threshold in
+  let rng = Random.State.make [| 13 |] in
+  let gen_batch () =
+    List.init 6 (fun _ ->
+        let session = Random.State.int rng 5 in
+        if Random.State.int rng 8 = 0 then Frame.End_of_session { session }
+        else
+          Frame.Data
+            {
+              session;
+              symbols = Array.init 24 (fun _ -> Random.State.int rng 8);
+            })
+  in
+  let reference = Hashtbl.create 8 in
+  let departed = ref (0, 0) in
+  let mirror events =
+    List.iter
+      (function
+        | Frame.Data { session; symbols } ->
+            let m =
+              match Hashtbl.find_opt reference session with
+              | Some m -> m
+              | None ->
+                  let m = Online.of_scorer scorer ~threshold in
+                  Hashtbl.replace reference session m;
+                  m
+            in
+            Array.iter (fun s -> ignore (Online.feed m s)) symbols
+        | Frame.End_of_session { session } -> (
+            match Hashtbl.find_opt reference session with
+            | None -> ()
+            | Some m ->
+                let w, a = !departed in
+                departed :=
+                  (w + Online.windows_scored m, a + Online.alarm_windows m);
+                Hashtbl.remove reference session))
+      events
+  in
+  let expected () =
+    Hashtbl.fold
+      (fun _ m (w, a) ->
+        (w + Online.windows_scored m, a + Online.alarm_windows m))
+      reference !departed
+  in
+  let check table what =
+    let w, a = expected () in
+    Alcotest.(check int) (what ^ ": windows") w
+      (Session_table.windows_scored table);
+    Alcotest.(check int) (what ^ ": alarms") a
+      (Session_table.alarm_windows table)
+  in
+  let dir = Filename.temp_file "seqdiv-totals" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "shard-0.journal" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      Unix.rmdir dir)
+    (fun () ->
+      let open_table ~resume =
+        let journal = Shard_journal.start ~resume ~context:"totals" path in
+        (journal, Session_table.create ~scorer ~threshold ~journal ~shard:0 ())
+      in
+      let _, table = open_table ~resume:false in
+      for batch_id = 0 to 39 do
+        let events = gen_batch () in
+        ignore (Session_table.apply table ~batch_id events);
+        mirror events
+      done;
+      Alcotest.(check bool) "some sessions ended" true (fst !departed > 0);
+      Alcotest.(check bool) "some windows alarmed" true
+        (snd (expected ()) > 0);
+      check table "before the restore";
+      (* Restore: the resident monitors come back from their snapshots
+         (static counters restart at the resumable position), and no
+         session has departed the new table yet. *)
+      let journal, table = open_table ~resume:true in
+      Hashtbl.reset reference;
+      departed := (0, 0);
+      List.iter
+        (fun (js : Shard_journal.session_state) ->
+          Hashtbl.replace reference js.Shard_journal.js_session
+            (Online.restore scorer ~threshold
+               {
+                 Online.snap_consumed = js.Shard_journal.js_consumed;
+                 snap_state = js.Shard_journal.js_state;
+                 snap_open =
+                   Option.map
+                     (fun (i : Frame.incident) ->
+                       {
+                         Incident.first_start = i.Frame.first_start;
+                         last_start = i.Frame.last_start;
+                         cover_from = i.Frame.cover_from;
+                         cover_to = i.Frame.cover_to;
+                         alarms = i.Frame.alarms;
+                         peak_score = i.Frame.peak_score;
+                       })
+                     js.Shard_journal.js_open;
+                 snap_adaptive = None;
+               }))
+        (Shard_journal.sessions journal);
+      check table "after the restore";
+      for batch_id = 40 to 79 do
+        let events = gen_batch () in
+        ignore (Session_table.apply table ~batch_id events);
+        mirror events
+      done;
+      check table "after the restore and 40 more batches")
+
 let () =
   Alcotest.run "session_table"
     [
@@ -316,6 +471,9 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "dedup" `Quick test_dedup_without_journal;
+          Alcotest.test_case "no allocation per symbol" `Quick
+            test_no_allocation_per_symbol;
+          Alcotest.test_case "running totals" `Quick test_running_totals;
           prop_shard_invariant;
           prop_shard_invariant_adaptive;
           prop_kill_resume;
