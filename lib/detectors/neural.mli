@@ -15,7 +15,25 @@
     {!maximal_epsilon} is larger than the Markov detector's, and its
     ability to reach maximal responses depends on the training
     hyper-parameters — the sensitivity the paper reports in Section 7
-    and which the A2 ablation reproduces. *)
+    and which the A2 ablation reproduces.
+
+    {b Sparse evaluation.}  Context position [i] holding symbol [s] is
+    input column [i·k + s] ([k] the training alphabet's size), so a
+    context sets exactly [window − 1] of the [(window − 1)·k] inputs.
+    Each distinct training pair is stored once, as those column indices,
+    its next symbol and its weight; the first layer sums only those
+    entries of each weight row, in ascending column order, and its
+    gradient touches only them.  The dense product's other terms are
+    products by [0.0], so models, losses, {!predict} and scores are bit
+    for bit those of the dense evaluation.  Training allocates its
+    buffers once per {!train_with} call and nothing per epoch; scoring
+    allocates nothing per window beyond the response item.
+
+    {b Symbols outside the training alphabet.}  A scored window whose
+    context or next symbol is [≥ k] has a context or continuation
+    training never saw, and scores [1.0], as an unseen context or
+    continuation does in the Markov detector.  {!predict} rejects such a
+    context. *)
 
 open Seqdiv_stream
 
@@ -43,7 +61,9 @@ val params : model -> params
 
 val predict : model -> int array -> float array
 (** Softmax distribution over the next symbol given a context of
-    [window − 1] symbols. *)
+    [window − 1] symbols.
+    @raise Invalid_argument if a context symbol is outside [\[0, k)],
+    [k] the size of the training alphabet. *)
 
 val training_loss : model -> float
 (** Final weighted cross-entropy, for convergence diagnostics and the

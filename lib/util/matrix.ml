@@ -4,77 +4,105 @@ let create ~rows ~cols =
   assert (rows > 0 && cols > 0);
   { rows; cols; data = Array.make (rows * cols) 0.0 }
 
-let init ~rows ~cols f =
+let random rng ~rows ~cols ~scale =
   assert (rows > 0 && cols > 0);
-  let data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) in
+  let data =
+    Array.init (rows * cols) (fun _ -> Prng.float rng (2.0 *. scale) -. scale)
+  in
   { rows; cols; data }
 
-let random rng ~rows ~cols ~scale =
-  init ~rows ~cols (fun _ _ -> Prng.float rng (2.0 *. scale) -. scale)
-
 let rows m = m.rows
-let cols m = m.cols
 
-let get m i j =
-  assert (i >= 0 && i < m.rows && j >= 0 && j < m.cols);
-  m.data.((i * m.cols) + j)
+(* The kernels below run once per window in scoring and several times
+   per (context -> next) pair in every training epoch.  Each checks its
+   arguments once per call with [invalid_arg] (which, unlike [assert],
+   no build flag removes); its inner loop then reads and writes
+   unchecked, since every index it forms lies inside the arrays just
+   checked.  Accumulators live in destination cells: the scoring paths
+   call these per window, where a ref accumulator would allocate (lint
+   R11).  The products run column by column, so each row still adds its
+   terms in ascending column order while successive additions go to
+   different rows and do not wait on each other. *)
 
-let set m i j x =
-  assert (i >= 0 && i < m.rows && j >= 0 && j < m.cols);
-  m.data.((i * m.cols) + j) <- x
+let require ok msg =
+  (* lint: allow partiality — documented precondition *)
+  if not ok then invalid_arg msg
 
-let copy m = { m with data = Array.copy m.data }
-
-let mul_vec m v =
-  assert (Array.length v = m.cols);
-  let out = Array.make m.rows 0.0 in
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let acc = ref 0.0 in
-    for j = 0 to m.cols - 1 do
-      acc := !acc +. (m.data.(base + j) *. v.(j))
-    done;
-    out.(i) <- !acc
-  done;
-  out
-
-(* Same product and float-operation order as [mul_vec], but into a
-   caller-owned destination and with the accumulator living in the
-   destination cell: the scoring paths call this per window, where a
-   fresh result array or a ref accumulator would allocate (lint R11). *)
 let mul_vec_into m v dst =
-  assert (Array.length v = m.cols);
-  assert (Array.length dst = m.rows);
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    dst.(i) <- 0.0;
-    for j = 0 to m.cols - 1 do
-      dst.(i) <- dst.(i) +. (m.data.(base + j) *. v.(j))
+  require
+    (Array.length v = m.cols && Array.length dst = m.rows)
+    "Matrix.mul_vec_into: dimensions";
+  Array.fill dst 0 m.rows 0.0;
+  for j = 0 to m.cols - 1 do
+    let vj = v.(j) in
+    for i = 0 to m.rows - 1 do
+      Array.unsafe_set dst i
+        (Array.unsafe_get dst i
+        +. (Array.unsafe_get m.data ((i * m.cols) + j) *. vj))
     done
   done
 
-let tmul_vec m v =
-  assert (Array.length v = m.rows);
-  let out = Array.make m.cols 0.0 in
+let tmul_vec_into m v dst =
+  require
+    (Array.length v = m.rows && Array.length dst = m.cols)
+    "Matrix.tmul_vec_into: dimensions";
+  Array.fill dst 0 m.cols 0.0;
   for i = 0 to m.rows - 1 do
     let base = i * m.cols in
     let vi = v.(i) in
     if vi <> 0.0 then
       for j = 0 to m.cols - 1 do
-        out.(j) <- out.(j) +. (m.data.(base + j) *. vi)
+        Array.unsafe_set dst j
+          (Array.unsafe_get dst j +. (Array.unsafe_get m.data (base + j) *. vi))
       done
-  done;
-  out
+  done
 
 let add_outer m u v ~scale =
-  assert (Array.length u = m.rows);
-  assert (Array.length v = m.cols);
+  require
+    (Array.length u = m.rows && Array.length v = m.cols)
+    "Matrix.add_outer: dimensions";
   for i = 0 to m.rows - 1 do
     let base = i * m.cols in
     let ui = scale *. u.(i) in
     if ui <> 0.0 then
       for j = 0 to m.cols - 1 do
-        m.data.(base + j) <- m.data.(base + j) +. (ui *. v.(j))
+        Array.unsafe_set m.data (base + j)
+          (Array.unsafe_get m.data (base + j) +. (ui *. Array.unsafe_get v j))
+      done
+  done
+
+(* The one-hot kernels check every column: an index past the last
+   column would read the next row. *)
+let require_one_hot m hot ~pos ~len =
+  require
+    (pos >= 0 && len >= 0 && pos + len <= Array.length hot)
+    "Matrix: one-hot range";
+  for c = pos to pos + len - 1 do
+    require (hot.(c) >= 0 && hot.(c) < m.cols) "Matrix: one-hot column"
+  done
+
+let mul_one_hot_into m hot ~pos ~len dst =
+  require_one_hot m hot ~pos ~len;
+  require (Array.length dst = m.rows) "Matrix.mul_one_hot_into: dimensions";
+  Array.fill dst 0 m.rows 0.0;
+  for c = pos to pos + len - 1 do
+    let j = Array.unsafe_get hot c in
+    for i = 0 to m.rows - 1 do
+      Array.unsafe_set dst i
+        (Array.unsafe_get dst i +. Array.unsafe_get m.data ((i * m.cols) + j))
+    done
+  done
+
+let add_outer_one_hot m u hot ~pos ~len =
+  require_one_hot m hot ~pos ~len;
+  require (Array.length u = m.rows) "Matrix.add_outer_one_hot: dimensions";
+  for i = 0 to m.rows - 1 do
+    let base = i * m.cols in
+    let ui = u.(i) in
+    if ui <> 0.0 then
+      for c = pos to pos + len - 1 do
+        let k = base + Array.unsafe_get hot c in
+        Array.unsafe_set m.data k (Array.unsafe_get m.data k +. ui)
       done
   done
 
@@ -83,23 +111,11 @@ let scale_in_place m c =
     m.data.(k) <- m.data.(k) *. c
   done
 
-let add_in_place dst src =
-  assert (dst.rows = src.rows && dst.cols = src.cols);
-  for k = 0 to Array.length dst.data - 1 do
-    dst.data.(k) <- dst.data.(k) +. src.data.(k)
+let momentum_step w ~velocity:v ~grad:g ~momentum ~rate =
+  require
+    (v.rows = w.rows && v.cols = w.cols && g.rows = w.rows && g.cols = w.cols)
+    "Matrix.momentum_step: dimensions";
+  for k = 0 to Array.length w.data - 1 do
+    v.data.(k) <- (momentum *. v.data.(k)) -. (rate *. g.data.(k));
+    w.data.(k) <- w.data.(k) +. v.data.(k)
   done
-
-let map f m = { m with data = Array.map f m.data }
-
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
-let of_arrays a =
-  let rows = Array.length a in
-  assert (rows > 0);
-  let cols = Array.length a.(0) in
-  Array.iter (fun row -> assert (Array.length row = cols)) a;
-  init ~rows ~cols (fun i j -> a.(i).(j))
-
-let frobenius_norm m =
-  sqrt (Array.fold_left (fun s x -> s +. (x *. x)) 0.0 m.data)
