@@ -10,8 +10,11 @@ let maximal_epsilon = 0.0
 
 (* Allocation-free core of [similarity]: all state lives in the
    parameters — a ref accumulator or a local [let rec] closure would
-   allocate on every scored window (lint R11). *)
-let rec similarity_from a b n i run total =
+   allocate on every scored window (lint R11).  The [int array]
+   annotations matter: unconstrained, [a.(i) = b.(i)] is polymorphic
+   equality, a [caml_equal] call on generic array reads in the
+   innermost loop of every lnb cell. *)
+let rec similarity_from (a : int array) (b : int array) n i run total =
   if i >= n then total
   else if a.(i) = b.(i) then
     let run = run + 1 in
