@@ -346,6 +346,15 @@ let train_batch_result t specs =
   let trie_misses, plain_misses =
     List.partition (fun (_, d, _, _) -> Trained.trie_capable d) misses
   in
+  (* Largest window first: the costliest models (nn at the widest
+     window) start at once instead of last, when they would leave the
+     other domains idle.  Results are committed and answered by key, so
+     the order is invisible outside the pool. *)
+  let plain_misses =
+    List.stable_sort
+      (fun (_, _, w, _) (_, _, w', _) -> Int.compare w' w)
+      plain_misses
+  in
   (* Shared-trie plan: one trie per distinct training trace, deep
      enough for every trie-capable miss that shares it; the 14x3
      (window x detector) grid then trains as one trace scan plus cheap
