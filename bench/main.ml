@@ -1,10 +1,13 @@
-(* Benchmark harness: regenerates every figure and table of the paper
-   (DESIGN.md section 3) and then runs one Bechamel micro-benchmark per
-   experiment kernel.
+(* The paper's results: regenerates every figure and table of the paper
+   (DESIGN.md section 3) plus the ablation and extension tables.
 
    Usage: dune exec bench/main.exe -- [--full] [--train-len N]
-            [--background-len N] [--deploy-len N] [--no-micro]
-            [--csv-dir DIR] [-j N | --jobs N] [--trace] [--json FILE]
+            [--background-len N] [--deploy-len N] [--csv-dir DIR]
+            [-j N | --jobs N] [--trace]
+          dune exec bench/main.exe -- --grid-only [--chaos | --chaos-rate R]
+            [--chaos-fatal R] [--chaos-hang R] [--chaos-seed N]
+            [--deadline-ms MS]
+          dune exec bench/main.exe -- --adaptive
 
    By default a reduced scale is used (150k training elements); --full
    switches to the paper's 1M-element training stream.  The map shapes
@@ -12,8 +15,11 @@
    --background-len sets the injected test streams' background length
    (default 8000).  --jobs N runs detector training/scoring on N worker
    domains (results are byte-identical for every N); --trace prints the
-   engine's per-stage timers to stderr; --json FILE additionally writes
-   machine-readable per-stage timings and map summaries. *)
+   engine's per-stage timers to stderr.  --grid-only maps stide, tstide
+   and markov over the whole grid, under seeded fault injection and a
+   per-cell deadline when asked; --adaptive compares a static threshold
+   with the adaptive controllers under drift.  Performance is measured
+   by perfbench/ (perfbench/DESIGN.md), not here. *)
 
 open Seqdiv_stream
 open Seqdiv_synth
@@ -25,14 +31,11 @@ type options = {
   train_len : int;
   background_len : int;
   deploy_len : int;
-  micro : bool;
   grid_only : bool;
-  streaming : bool;
   adaptive : bool;
   csv_dir : string option;
   jobs : int;
   trace : bool;
-  json : string option;
   chaos : float; (* transient fault-injection rate; 0 = supervision idle *)
   chaos_fatal : float;
   chaos_hang : float;
@@ -45,14 +48,11 @@ let default_options =
     train_len = 150_000;
     background_len = 8_000;
     deploy_len = 30_000;
-    micro = true;
     grid_only = false;
-    streaming = false;
     adaptive = false;
     csv_dir = None;
     jobs = 1;
     trace = false;
-    json = None;
     chaos = 0.0;
     chaos_fatal = 0.0;
     chaos_hang = 0.0;
@@ -70,10 +70,8 @@ let parse_options () =
         go { acc with background_len = int_of_string v } rest
     | "--deploy-len" :: v :: rest ->
         go { acc with deploy_len = int_of_string v } rest
-    | "--no-micro" :: rest -> go { acc with micro = false } rest
-    | "--grid-only" :: rest -> go { acc with grid_only = true; micro = false } rest
-    | "--streaming" :: rest -> go { acc with streaming = true; micro = false } rest
-    | "--adaptive" :: rest -> go { acc with adaptive = true; micro = false } rest
+    | "--grid-only" :: rest -> go { acc with grid_only = true } rest
+    | "--adaptive" :: rest -> go { acc with adaptive = true } rest
     | "--csv-dir" :: v :: rest -> go { acc with csv_dir = Some v } rest
     | ("-j" | "--jobs") :: v :: rest ->
         let jobs = int_of_string v in
@@ -82,7 +80,6 @@ let parse_options () =
         in
         go { acc with jobs } rest
     | "--trace" :: rest -> go { acc with trace = true } rest
-    | "--json" :: v :: rest -> go { acc with json = Some v } rest
     | "--chaos" :: rest -> go { acc with chaos = 0.05 } rest
     | "--chaos-rate" :: v :: rest ->
         go { acc with chaos = float_of_string v } rest
@@ -122,22 +119,12 @@ let chaos_plan opts =
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
-(* Every [timed] section is also recorded here so --json can replay the
-   stage timings machine-readably. *)
-let stages : (string * float) list ref = ref []
-
-(* Scalar measurements (allocation rates, node counts) for --json. *)
-let measurements : (string * float) list ref = ref []
-
-let measure label value =
-  measurements := (label, value) :: !measurements;
-  Printf.printf "%s: %.3f\n%!" label value
+let measure label value = Printf.printf "%s: %.3f\n%!" label value
 
 let timed label f =
   let t0 = Unix.gettimeofday () in
   let result = f () in
   let dt = Unix.gettimeofday () -. t0 in
-  stages := (label, dt) :: !stages;
   Printf.printf "[%s: %.2fs]\n%!" label dt;
   result
 
@@ -168,47 +155,12 @@ let write_csvs maps dir =
       Printf.printf "wrote %s\n" path)
     maps
 
-(* Minor-heap words allocated per window lookup: the trie cursor descends
-   over the raw trace array and must allocate nothing, while the legacy
-   path builds one Trace.key string per window.  Run on the calling
-   domain with warm code; 10k lookups average out GC noise. *)
-let measure_lookup_allocation training trie =
-  let width = Stdlib.min 8 (Seq_trie.max_len trie) in
-  let data = Trace.raw training in
-  let starts = Trace.window_count training ~width in
-  let hash_db =
-    let tbl = Hashtbl.create 4096 in
-    Trace.iter_windows training ~width (fun pos ->
-        let k = Trace.key training ~pos ~len:width in
-        Hashtbl.replace tbl k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)));
-    tbl
-  in
-  let iters = Stdlib.min 10_000 starts in
-  let per_lookup f =
-    let before = Gc.minor_words () in
-    for i = 0 to iters - 1 do
-      f (i mod starts)
-    done;
-    (Gc.minor_words () -. before) /. float_of_int iters
-  in
-  let trie_alloc =
-    per_lookup (fun pos -> ignore (Seq_trie.count_at trie data ~pos ~len:width))
-  in
-  let hash_alloc =
-    per_lookup (fun pos ->
-        ignore (Hashtbl.find_opt hash_db (Trace.key training ~pos ~len:width)))
-  in
-  measure "A5_alloc_words_per_trie_lookup" trie_alloc;
-  measure "A5_alloc_words_per_hash_lookup" hash_alloc
+(* --- full grid only (--grid-only) --------------------------------------- *)
 
-(* --- full-grid macro benchmark (--grid-only) --------------------------- *)
-
-(* The perf-trajectory kernel tracked by scripts/bench.sh: the whole
-   (AS x DW) grid for the sequence-database detectors whose train/score
-   hot paths this repo optimises.  Engine train/score stage timings are
-   the figures of merit; map summaries double as a correctness probe
-   (the optimised paths must not move a single cell). *)
+(* The whole (AS x DW) grid for the sequence-database detectors, one
+   summary line per map: the run the seeded fault-injection and
+   deadline demos drive, where transient faults must not move a single
+   cell. *)
 let run_grid opts engine =
   let params =
     Suite.scaled_params ~train_len:opts.train_len
@@ -225,103 +177,7 @@ let run_grid opts engine =
       let s = Experiment.summary m in
       Printf.printf "%s: capable %d, weak %d, blind %d\n" s.Experiment.detector
         s.Experiment.capable s.Experiment.weak s.Experiment.blind)
-    maps;
-  measure_lookup_allocation suite.Suite.training
-    (Ngram_index.trie suite.Suite.index);
-  (suite, maps)
-
-(* --- streaming throughput (--streaming) -------------------------------- *)
-
-(* The PR-7 figure of merit: per-symbol scoring throughput of the
-   compiled flat automaton (one table read + one score read per symbol)
-   against the reference trie descent (a fresh O(window) walk per
-   completed window).  Both kernels fold their scores into a float
-   accumulator, so the work cannot be optimised away; whole-stream
-   passes repeat until each kernel has run for a fixed wall-clock
-   budget. *)
-let run_streaming opts =
-  section "Streaming throughput (trie descent vs compiled automaton)";
-  let params =
-    Suite.scaled_params ~train_len:opts.train_len
-      ~background_len:opts.background_len
-  in
-  let suite = timed "suite build" (fun () -> Suite.build params) in
-  let stream =
-    Deployment.deployment_stream suite
-      ~len:(Stdlib.max 100_000 opts.deploy_len)
-      ~seed:(params.Suite.seed + 3)
-  in
-  let data = Trace.raw stream in
-  let n = Array.length data in
-  Printf.printf "stream: %d symbols, alphabet %d\n%!" n
-    params.Suite.alphabet_size;
-  let rate_of ~min_seconds pass =
-    ignore (pass ());
-    (* warm caches and code *)
-    let t0 = Unix.gettimeofday () in
-    let passes = ref 0 in
-    let sink = ref 0.0 in
-    while Unix.gettimeofday () -. t0 < min_seconds do
-      sink := !sink +. pass ();
-      incr passes
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if Float.is_nan !sink then Printf.printf "(unreachable)\n";
-    if Sys.getenv_opt "SEQDIV_BENCH_DEBUG" <> None then
-      Printf.printf "  [debug: %d passes in %.3fs]\n%!" !passes dt;
-    float_of_int !passes *. float_of_int n /. dt
-  in
-  List.iter
-    (fun window ->
-      let trained =
-        Trained.train (Registry.find_exn "stide") ~window suite.Suite.training
-      in
-      let scorer =
-        match Trained.compile trained with
-        | Some s -> s
-        | None -> failwith "stide must compile"
-      in
-      let auto = Flat_automaton.automaton scorer in
-      let compiled = Trained.with_scorer trained scorer in
-      (* Reference: the detector's own per-window trie descent (batch). *)
-      let trie_pass () =
-        let r = Trained.score trained stream in
-        Array.fold_left
-          (fun acc (it : Response.item) -> acc +. it.Response.score)
-          0.0 r.Response.items
-      in
-      (* Compiled batch: same Response materialisation, automaton core. *)
-      let batch_pass () =
-        let r = Trained.score compiled stream in
-        Array.fold_left
-          (fun acc (it : Response.item) -> acc +. it.Response.score)
-          0.0 r.Response.items
-      in
-      (* Pure stream: the Online-monitor inner loop — step + score per
-         symbol, no response array at all. *)
-      let stream_pass () =
-        let acc = ref 0.0 in
-        let state = ref Flat_automaton.start in
-        for i = 0 to n - 1 do
-          state := Flat_automaton.step auto !state (Array.unsafe_get data i);
-          acc := !acc +. Flat_automaton.state_score scorer !state
-        done;
-        !acc
-      in
-      let trie = rate_of ~min_seconds:0.5 trie_pass in
-      let batch = rate_of ~min_seconds:0.5 batch_pass in
-      let streamed = rate_of ~min_seconds:0.5 stream_pass in
-      measure (Printf.sprintf "streaming_trie_sym_per_sec_w%d" window) trie;
-      measure
-        (Printf.sprintf "streaming_compiled_batch_sym_per_sec_w%d" window)
-        batch;
-      measure
-        (Printf.sprintf "streaming_automaton_sym_per_sec_w%d" window)
-        streamed;
-      measure
-        (Printf.sprintf "streaming_speedup_w%d" window)
-        (streamed /. trie))
-    [ 4; 8; 12 ]
+    maps
 
 (* --- adaptive vs static thresholding under drift ----------------------- *)
 
@@ -331,7 +187,7 @@ let run_streaming opts =
    false-alarm rate of (a) that frozen threshold against (b) the
    per-session adaptive controllers the serve layer runs.  The static
    rate walks away from the budget with the drift; the adaptive one
-   re-tracks it.  All measurements land in the --json report. *)
+   re-tracks it. *)
 let run_adaptive opts =
   section "Adaptive vs static thresholding under drift";
   let params =
@@ -666,324 +522,7 @@ let run_paper opts engine =
             (D.name, Session_eval.evaluate trained ~normal ~anomalous ()))
           Registry.extended)
   in
-  print_string (Paper.extension4 e4);
-
-  section "A5 — n-gram index backends (hash tables vs counting trie)";
-  let trie_t0 = Unix.gettimeofday () in
-  let trie = Seq_trie.of_trace ~max_len:15 suite.Suite.training in
-  let trie_dt = Unix.gettimeofday () -. trie_t0 in
-  let hash_t0 = Unix.gettimeofday () in
-  let hash_dbs =
-    (* the legacy backend the trie replaced: one string-keyed hash
-       table per width, each filled by its own scan of the trace *)
-    Array.init 15 (fun i ->
-        let width = i + 1 in
-        let tbl = Hashtbl.create 4096 in
-        Trace.iter_windows suite.Suite.training ~width (fun pos ->
-            let k = Trace.key suite.Suite.training ~pos ~len:width in
-            Hashtbl.replace tbl k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)));
-        tbl)
-  in
-  let hash_dt = Unix.gettimeofday () -. hash_t0 in
-  let agreement =
-    let len = Stdlib.min 5_000 (Trace.length suite.Suite.training) in
-    let data = Trace.raw suite.Suite.training in
-    let ok = ref true in
-    for width = 1 to 15 do
-      for pos = 0 to len - width do
-        let k = Trace.key suite.Suite.training ~pos ~len:width in
-        let h = Option.value ~default:0 (Hashtbl.find_opt hash_dbs.(width - 1) k) in
-        if Seq_trie.count_at trie data ~pos ~len:width <> h then ok := false
-      done
-    done;
-    !ok
-  in
-  let a5 = Table.make ~columns:[ "backend"; "build time"; "memory proxy" ] in
-  Table.add_row a5
-    [ "hash tables (15 scans)"; Printf.sprintf "%.2fs" hash_dt; "n/a" ];
-  Table.add_row a5
-    [
-      "counting trie (1 pass)";
-      Printf.sprintf "%.2fs" trie_dt;
-      Printf.sprintf "%d nodes (~%d words)" (Seq_trie.node_count trie)
-        (Seq_trie.memory_words trie);
-    ];
-  Table.print a5;
-  Printf.printf "backends agree on all counts: %s\n"
-    (if agreement then "yes" else "NO — BUG");
-  measure_lookup_allocation suite.Suite.training trie;
-  (suite, maps, deploy, trie)
-
-(* --- Bechamel micro-benchmarks ---------------------------------------- *)
-
-let micro_tests suite maps deploy trie =
-  let open Bechamel in
-  let training = suite.Suite.training in
-  let window = 6 in
-  let test = Suite.stream suite ~anomaly_size:4 ~window in
-  let injection = test.Suite.injection in
-  let trace = injection.Injector.trace in
-  let lo, hi =
-    Injector.incident_span ~position:injection.Injector.position
-      ~size:(Array.length injection.Injector.anomaly)
-      ~width:window
-  in
-  let stide = Trained.train (Registry.find_exn "stide") ~window training in
-  let markov = Trained.train (Registry.find_exn "markov") ~window training in
-  let lnb = Trained.train (Registry.find_exn "lnb") ~window training in
-  let nn = Trained.train (Registry.find_exn "nn") ~window training in
-  let markov_deploy = Trained.score markov deploy in
-  let stide_deploy = Trained.score stide deploy in
-  let coverages = List.map Coverage.of_map maps in
-  let span d () = ignore (Trained.score_range d trace ~lo ~hi) in
-  let small_train = Trace.sub training ~pos:0 ~len:20_000 in
-  [
-    Test.make ~name:"F2_injection_search"
-      (Staged.stage (fun () ->
-           ignore
-             (Injector.inject suite.Suite.index
-                ~background:
-                  (Generator.background suite.Suite.alphabet ~len:2_000
-                     ~phase:0)
-                ~anomaly:injection.Injector.anomaly ~width:window)));
-    Test.make ~name:"F3_lnb_span_scoring" (Staged.stage (span lnb));
-    Test.make ~name:"F4_markov_span_scoring" (Staged.stage (span markov));
-    Test.make ~name:"F5_stide_span_scoring" (Staged.stage (span stide));
-    Test.make ~name:"F6_nn_span_scoring" (Staged.stage (span nn));
-    Test.make ~name:"F7_lnb_similarity"
-      (Staged.stage (fun () ->
-           ignore
-             (Lane_brodley.similarity [| 0; 1; 2; 3; 4 |] [| 0; 1; 2; 3; 0 |])));
-    Test.make ~name:"T1_coverage_algebra"
-      (Staged.stage (fun () ->
-           ignore
-             (List.fold_left Coverage.union Coverage.empty coverages
-             |> Coverage.cardinal)));
-    Test.make ~name:"T2_ensemble_suppression"
-      (Staged.stage (fun () ->
-           ignore
-             (Ensemble.suppress
-                ~primary:(markov_deploy, Trained.alarm_threshold markov)
-                ~suppressor:(stide_deploy, Trained.alarm_threshold stide))));
-    Test.make ~name:"T3_lnb_stream_scoring"
-      (Staged.stage (fun () ->
-           ignore (Trained.score_range lnb deploy ~lo:0 ~hi:999)));
-    Test.make ~name:"A1_lfc_apply"
-      (Staged.stage (fun () ->
-           ignore
-             (Lfc.apply stide_deploy ~frame:20 ~min_count:2 ~threshold:1.0)));
-    Test.make ~name:"A2_nn_training_small"
-      (Staged.stage (fun () ->
-           ignore
-             (Neural.train_with
-                { Neural.default_params with Neural.epochs = 10 }
-                ~window small_train)));
-    Test.make ~name:"A3_markov_training"
-      (Staged.stage (fun () ->
-           ignore
-             (Trained.train (Registry.find_exn "markov") ~window small_train)));
-    Test.make ~name:"A4_mfs_search"
-      (Staged.stage (fun () ->
-           ignore
-             (Mfs.candidates suite.Suite.index suite.Suite.alphabet ~size:5
-                ~rare_threshold:0.005)));
-    (let tstide = Trained.train (Registry.find_exn "tstide") ~window training in
-     Test.make ~name:"E1_tstide_span_scoring" (Staged.stage (span tstide)));
-    (let hmm = Trained.train (Registry.find_exn "hmm") ~window training in
-     Test.make ~name:"E1_hmm_span_scoring" (Staged.stage (span hmm)));
-    (* A5: one window lookup, trie descent over the raw trace array vs
-       the legacy string-hash probe (Trace.key + Hashtbl).  The probes
-       are real windows of the training trace, so both backends hit. *)
-    (let data = Trace.raw training in
-     let starts = Trace.window_count training ~width:8 in
-     let rng = Seqdiv_util.Prng.create ~seed:7 in
-     let positions =
-       Array.init 64 (fun _ -> Seqdiv_util.Prng.int rng starts)
-     in
-     Test.make ~name:"A5_trie_lookup"
-       (Staged.stage (fun () ->
-            Array.iter
-              (fun pos -> ignore (Seq_trie.count_at trie data ~pos ~len:8))
-              positions)));
-    (let hash_db =
-       let tbl = Hashtbl.create 4096 in
-       Trace.iter_windows training ~width:8 (fun pos ->
-           let k = Trace.key training ~pos ~len:8 in
-           Hashtbl.replace tbl k
-             (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)));
-       tbl
-     in
-     let starts = Trace.window_count training ~width:8 in
-     let rng = Seqdiv_util.Prng.create ~seed:7 in
-     let positions =
-       Array.init 64 (fun _ -> Seqdiv_util.Prng.int rng starts)
-     in
-     Test.make ~name:"A5_hash_lookup"
-       (Staged.stage (fun () ->
-            Array.iter
-              (fun pos ->
-                ignore
-                  (Hashtbl.find_opt hash_db (Trace.key training ~pos ~len:8)))
-              positions)));
-    Test.make ~name:"A6_stide_cell_outcome"
-      (Staged.stage (fun () ->
-           ignore (Scoring.outcome stide injection)));
-    Test.make ~name:"A7_mfs_constructibility_probe"
-      (Staged.stage (fun () ->
-           ignore
-             (Mfs.candidates suite.Suite.index suite.Suite.alphabet ~size:3
-                ~rare_threshold:0.005)));
-    (let markov_model = Markov.train ~window suite.Suite.training in
-     let smoothed = Markov.with_smoothing markov_model ~alpha:10.0 in
-     Test.make ~name:"A8_smoothed_span_scoring"
-       (Staged.stage (fun () ->
-            ignore (Markov.score_range smoothed trace ~lo ~hi))));
-    (let rare = Rare_anomaly.build suite in
-     let rare_inj = Rare_anomaly.injection rare ~anomaly_size:4 ~window:6 in
-     Test.make ~name:"E2_rare_cell_outcome"
-       (Staged.stage (fun () -> ignore (Scoring.outcome markov rare_inj))));
-    Test.make ~name:"E3_seed_map_shape"
-      (Staged.stage (fun () ->
-           ignore (Scoring.outcome stide injection)));
-    (let session =
-       Deployment.deployment_stream suite ~len:400 ~seed:123
-     in
-     Test.make ~name:"E4_session_classification"
-       (Staged.stage (fun () ->
-            ignore
-              (Session_eval.session_anomalous stide ~threshold:1.0 session))));
-  ]
-
-let run_micro suite maps deploy trie =
-  let open Bechamel in
-  let open Toolkit in
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let tests = micro_tests suite maps deploy trie in
-  let grouped = Test.make_grouped ~name:"seqdiv" tests in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> est
-          | Some _ | None -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  let table = Table.make ~columns:[ "kernel"; "time/run" ] in
-  List.iter
-    (fun (name, ns) ->
-      let human =
-        if Float.is_nan ns then "n/a"
-        else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Table.add_row table [ name; human ])
-    rows;
-  Table.print table
-
-(* --- machine-readable report (--json) ---------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json path opts engine maps =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"options\": {\n";
-  out "    \"train_len\": %d,\n" opts.train_len;
-  out "    \"background_len\": %d,\n" opts.background_len;
-  out "    \"deploy_len\": %d,\n" opts.deploy_len;
-  out "    \"jobs\": %d\n" opts.jobs;
-  out "  },\n";
-  out "  \"machine\": {\n";
-  out "    \"hostname\": \"%s\",\n" (json_escape (Unix.gethostname ()));
-  out "    \"os_type\": \"%s\",\n" (json_escape Sys.os_type);
-  out "    \"word_size\": %d,\n" Sys.word_size;
-  out "    \"ocaml_version\": \"%s\",\n" (json_escape Sys.ocaml_version);
-  out "    \"recommended_jobs\": %d\n" (Seqdiv_util.Pool.recommended_jobs ());
-  out "  },\n";
-  out "  \"stages\": [\n";
-  let stages = List.rev !stages in
-  List.iteri
-    (fun i (label, seconds) ->
-      out "    { \"label\": \"%s\", \"seconds\": %.6f }%s\n" (json_escape label)
-        seconds
-        (if i = List.length stages - 1 then "" else ","))
-    stages;
-  out "  ],\n";
-  (* No engine runs in streaming mode: an all-zero stats block would
-     read as a measured result, so the report carries [null] instead. *)
-  (match engine with
-  | None -> out "  \"engine\": null,\n"
-  | Some engine ->
-      let stats = Engine.stats engine in
-      out "  \"engine\": {\n";
-      out "    \"train_executed\": %d,\n" stats.Engine.train_executed;
-      out "    \"train_cached\": %d,\n" stats.Engine.train_cached;
-      out "    \"score_tasks\": %d,\n" stats.Engine.score_tasks;
-      out "    \"train_seconds\": %.6f,\n" stats.Engine.train_seconds;
-      out "    \"score_seconds\": %.6f,\n" stats.Engine.score_seconds;
-      out "    \"tries_built\": %d,\n" stats.Engine.tries_built;
-      out "    \"trie_hits\": %d,\n" stats.Engine.trie_hits;
-      out "    \"trie_nodes\": %d,\n" stats.Engine.trie_nodes;
-      out "    \"faults_injected\": %d,\n" stats.Engine.faults_injected;
-      out "    \"retries\": %d,\n" stats.Engine.retries;
-      out "    \"cells_failed\": %d,\n" stats.Engine.cells_failed;
-      out "    \"cells_timed_out\": %d,\n" stats.Engine.cells_timed_out;
-      out "    \"cells_resumed\": %d,\n" stats.Engine.cells_resumed;
-      out "    \"automata_built\": %d,\n" stats.Engine.automata_built;
-      out "    \"automata_hits\": %d\n" stats.Engine.automata_hits;
-      out "  },\n");
-  out "  \"measurements\": [\n";
-  let ms = List.rev !measurements in
-  List.iteri
-    (fun i (label, value) ->
-      out "    { \"label\": \"%s\", \"value\": %.6f }%s\n" (json_escape label)
-        value
-        (if i = List.length ms - 1 then "" else ","))
-    ms;
-  out "  ],\n";
-  out "  \"maps\": [\n";
-  let summaries = List.map Experiment.summary maps in
-  List.iteri
-    (fun i (s : Experiment.summary) ->
-      out
-        "    { \"detector\": \"%s\", \"capable\": %d, \"weak\": %d, \"blind\": \
-         %d, \"failed\": %d, \"capable_fraction\": %.6f }%s\n"
-        (json_escape s.Experiment.detector)
-        s.Experiment.capable s.Experiment.weak s.Experiment.blind
-        s.Experiment.failed s.Experiment.capable_fraction
-        (if i = List.length summaries - 1 then "" else ","))
-    summaries;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  print_string (Paper.extension4 e4)
 
 let () =
   let opts = parse_options () in
@@ -1001,25 +540,10 @@ let () =
     Engine.create ~clock:Unix.gettimeofday ~jobs:opts.jobs ?fault_plan
       ?deadline ()
   in
-  if opts.streaming then begin
-    run_streaming opts;
-    Option.iter (fun path -> write_json path opts None []) opts.json
-  end
-  else if opts.adaptive then begin
-    run_adaptive opts;
-    Option.iter (fun path -> write_json path opts None []) opts.json
-  end
-  else if opts.grid_only then begin
-    let _suite, maps = run_grid opts engine in
-    if opts.trace then
-      Format.eprintf "%a@." Engine.pp_stats (Engine.stats engine);
-    Option.iter (fun path -> write_json path opts (Some engine) maps) opts.json
-  end
+  if opts.adaptive then run_adaptive opts
   else begin
-    let suite, maps, deploy, trie = run_paper opts engine in
-    if opts.micro then run_micro suite maps deploy trie;
+    if opts.grid_only then run_grid opts engine else run_paper opts engine;
     if opts.trace then
-      Format.eprintf "%a@." Engine.pp_stats (Engine.stats engine);
-    Option.iter (fun path -> write_json path opts (Some engine) maps) opts.json
+      Format.eprintf "%a@." Engine.pp_stats (Engine.stats engine)
   end;
   print_newline ()

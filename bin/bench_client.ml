@@ -1,16 +1,16 @@
-(* serve-bench: the load generator and measurement client for `seqdiv
+(* serve-bench: the load generator and correctness client for `seqdiv
    serve`.  Builds Session_workload corpora, drives them over the
    socket as interleaved framed batches (a bounded in-flight window per
    connection, honouring backpressure rejections), collects the
-   per-session incident log, samples the server's per-shard stats, and
-   writes a machine-readable JSON report.
+   per-session incident log and prints one line counting what it drove.
+   Performance is measured by perfbench/, not here.
 
-   Correctness features double as test hooks: --reconnect survives a
-   SIGKILLed server by reconnecting and resending unacknowledged
-   batches (acks are deduplicated per (batch, shard), so journalled
-   re-acks merge cleanly), and --incident-log writes the deterministic
-   per-session event log the serve smoke test diffs across kill/resume
-   runs. *)
+   Its features are test hooks: --reconnect survives a SIGKILLed server
+   by reconnecting and resending unacknowledged batches (acks are
+   deduplicated per (batch, shard), so journalled re-acks merge
+   cleanly), and --incident-log writes the deterministic per-session
+   event log the serve smoke tests diff across kill/resume runs, shard
+   counts and connection counts. *)
 
 open Seqdiv_stream
 open Seqdiv_synth
@@ -32,12 +32,9 @@ type options = {
   anomalous_every : int;  (* every k-th session is an attack; 0 = none *)
   seed : int;
   train_len : int;  (* suite scale for corpus generation *)
-  target_shard : (int * int) option;  (* (shard, of_shards) id filter *)
-  hold_open : bool;  (* never send End_of_session: residency probe *)
   reconnect : bool;
   stall_ms : int;  (* connection 0 stops reading mid-run; 0 = off *)
   incident_log : string option;
-  json : string option;
   quit : bool;
 }
 
@@ -50,68 +47,23 @@ type options = {
    reproducible schedules, no thundering herd. *)
 
 let backoff_cap_ms = 2000.0
-let backoff_log_entries = 64
 
-type backoff_entry = {
-  bo_kind : string;  (* "reject" | "reconnect" *)
-  bo_batch : int;  (* batch id, or reconnect ordinal *)
-  bo_attempt : int;
-  bo_delay_ms : float;
-}
-
-type backoff_log = {
-  mutable bo_recent : backoff_entry list;  (* newest first, bounded *)
-  mutable bo_count : int;
-  mutable bo_total_ms : float;
-}
-
-let backoff_log () = { bo_recent = []; bo_count = 0; bo_total_ms = 0.0 }
-
-let backoff_delay_ms ~seed ~hint_ms ~kind ~batch ~attempt =
+(* [batch] is the batch id of a rejection, or the reconnect ordinal. *)
+let backoff_sleep ~seed ~hint_ms ~kind ~batch ~attempt =
   let base =
     Stdlib.min backoff_cap_ms
       (float_of_int (Stdlib.max 1 hint_ms) *. (2.0 ** float_of_int attempt))
   in
-  let kind_tag = if kind = "reconnect" then 1 else 0 in
+  let kind_tag = match kind with `Reject -> 0 | `Reconnect -> 1 in
   let key =
     Int64.logxor
       (Int64.shift_left (Int64.of_int ((attempt lsl 1) lor kind_tag)) 32)
       (Int64.of_int batch)
   in
-  base *. (0.5 +. Seqdiv_core.Fault_plan.jitter ~seed ~key)
-
-let backoff_sleep log ~seed ~hint_ms ~kind ~batch ~attempt =
-  let delay = backoff_delay_ms ~seed ~hint_ms ~kind ~batch ~attempt in
-  log.bo_count <- log.bo_count + 1;
-  log.bo_total_ms <- log.bo_total_ms +. delay;
-  if log.bo_count <= backoff_log_entries then
-    log.bo_recent <-
-      { bo_kind = kind; bo_batch = batch; bo_attempt = attempt;
-        bo_delay_ms = delay }
-      :: log.bo_recent;
-  Unix.sleepf (delay /. 1000.0)
+  let delay_ms = base *. (0.5 +. Seqdiv_core.Fault_plan.jitter ~seed ~key) in
+  Unix.sleepf (delay_ms /. 1000.0)
 
 (* --- corpus ------------------------------------------------------------- *)
-
-(* Session ids: consecutive non-negative integers, or — when measuring
-   one shard in isolation — the consecutive integers that route to the
-   target shard, so the whole run lands on it by construction. *)
-let session_ids ~count ~target =
-  let ids = Array.make count 0 in
-  let accept =
-    match target with
-    | None -> fun _ -> true
-    | Some (shard, shards) -> fun c -> Frame.shard_of_session ~shards c = shard
-  in
-  let c = ref 0 in
-  for i = 0 to count - 1 do
-    while not (accept !c) do
-      incr c
-    done;
-    ids.(i) <- !c;
-    incr c
-  done;
-  ids
 
 (* The per-round corpus: [sessions] traces, every [anomalous_every]-th
    one an attack session. *)
@@ -166,9 +118,10 @@ let build_corpus opts =
 (* Every batch a connection will send, in order.  Chunks of the
    connection's sessions are interleaved round-robin (many concurrent
    sessions per batch — the serving shape), each round's sessions are
-   ended before the next round begins, and batch ids are globally
+   ended before the next round begins.  Session ids are consecutive
+   across rounds (round * sessions + i), and batch ids are globally
    unique across connections (conn + seq * connections). *)
-let plan_batches opts ~corpus ~ids ~conn_index =
+let plan_batches opts ~corpus ~conn_index =
   let batches = ref [] and current = ref [] and current_n = ref 0 in
   let seq = ref 0 in
   let flush_batch () =
@@ -189,7 +142,7 @@ let plan_batches opts ~corpus ~ids ~conn_index =
     let mine = ref [] in
     for i = opts.sessions - 1 downto 0 do
       if i mod opts.connections = conn_index then
-        mine := (ids.((round * opts.sessions) + i), corpus.(i)) :: !mine
+        mine := ((round * opts.sessions) + i, corpus.(i)) :: !mine
     done;
     let mine = !mine in
     let len = opts.session_length in
@@ -203,10 +156,9 @@ let plan_batches opts ~corpus ~ids ~conn_index =
         mine;
       off := !off + k
     done;
-    if not opts.hold_open then
-      List.iter
-        (fun (gid, _) -> push_event (Frame.End_of_session { session = gid }))
-        mine
+    List.iter
+      (fun (gid, _) -> push_event (Frame.End_of_session { session = gid }))
+      mine
   done;
   flush_batch ();
   Array.of_list (List.rev !batches)
@@ -270,10 +222,13 @@ let link_connect address ~budget_s encoding =
     encoding;
   }
 
+(* A write into a dead connection is dropped: the next read reports the
+   death (see [recv_response]), and the drive loop reconnects there. *)
 let send_request link request =
   Buffer.clear link.ebuf;
   Frame.write_request link.ebuf link.encoding request;
-  write_all link.fd (Buffer.to_bytes link.ebuf)
+  try write_all link.fd (Buffer.to_bytes link.ebuf)
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
 (* One response, or None when the connection died under us. *)
 let recv_response link =
@@ -300,15 +255,11 @@ exception Protocol_failure of string
 type conn_result = {
   cr_events : int;
   cr_symbols : int;
-  cr_batches : int;
   cr_rejections : int;
   cr_failures : int;
   cr_reconnects : int;
-  cr_started : float;
-  cr_finished : float;
   cr_incidents : (int, Frame.incident_event list) Hashtbl.t;
       (* session -> events, newest first *)
-  cr_backoff : backoff_log;
 }
 
 type pending = {
@@ -349,10 +300,8 @@ let drive_connection opts (conn_index, batches) =
   let next = ref 0 in
   let done_batches = ref 0 in
   let nbatches = Array.length batches in
-  let backoff = backoff_log () in
   let last_hint = ref 50 in
   let stalled = ref false in
-  let started = Unix.gettimeofday () in
   let record_incidents events =
     List.iter
       (fun (ev : Frame.incident_event) ->
@@ -398,8 +347,8 @@ let drive_connection opts (conn_index, batches) =
     let deadline = Unix.gettimeofday () +. 60.0 in
     let attempt = ref 0 in
     let rec go () =
-      backoff_sleep backoff ~seed:opts.seed ~hint_ms:!last_hint
-        ~kind:"reconnect" ~batch:!reconnects ~attempt:!attempt;
+      backoff_sleep ~seed:opts.seed ~hint_ms:!last_hint ~kind:`Reconnect
+        ~batch:!reconnects ~attempt:!attempt;
       (try Unix.close link.fd with Unix.Unix_error _ -> ());
       match connect_once opts.address with
       | fd ->
@@ -451,8 +400,8 @@ let drive_connection opts (conn_index, batches) =
         | Some p ->
             incr rejections;
             last_hint := retry_after_ms;
-            backoff_sleep backoff ~seed:opts.seed ~hint_ms:retry_after_ms
-              ~kind:"reject" ~batch:id ~attempt:p.p_rejects;
+            backoff_sleep ~seed:opts.seed ~hint_ms:retry_after_ms ~kind:`Reject
+              ~batch:id ~attempt:p.p_rejects;
             p.p_rejects <- p.p_rejects + 1;
             send_request link p.p_request)
     | Some (Frame.Failed { id; shard; events; reason }) -> (
@@ -478,50 +427,28 @@ let drive_connection opts (conn_index, batches) =
     | Some (Frame.Error_msg msg) ->
         raise (Protocol_failure ("server error: " ^ msg))
   done;
-  let finished = Unix.gettimeofday () in
   (try Unix.close link.fd with Unix.Unix_error _ -> ());
-  let events = Array.fold_left (fun a b -> a + events_of_batch b) 0 batches in
-  let symbols = Array.fold_left (fun a b -> a + symbols_of_batch b) 0 batches in
   {
-    cr_events = events;
-    cr_symbols = symbols;
-    cr_batches = nbatches;
+    cr_events = Array.fold_left (fun a b -> a + events_of_batch b) 0 batches;
+    cr_symbols = Array.fold_left (fun a b -> a + symbols_of_batch b) 0 batches;
     cr_rejections = !rejections;
     cr_failures = !failures;
     cr_reconnects = !reconnects;
-    cr_started = started;
-    cr_finished = finished;
     cr_incidents = incidents;
-    cr_backoff = backoff;
   }
 
-(* --- control connection: stats, health and quit -------------------------- *)
+(* --- control connection: quit and health --------------------------------- *)
 
-let fetch_stats opts =
+(* Ask the server to shut down, and wait for the orderly shutdown (EOF)
+   so scripts can rely on the server being gone when serve-bench
+   exits. *)
+let quit_server opts =
   let link = link_connect opts.address ~budget_s:15.0 opts.encoding in
-  send_request link Frame.Stats_request;
-  let stats =
-    match recv_response link with
-    | Some (Frame.Stats shards) -> shards
-    | Some _ | None ->
-        raise (Protocol_failure "no stats response from server")
-  in
-  send_request link Frame.Health_request;
-  let health =
-    match recv_response link with
-    | Some (Frame.Health h) -> h
-    | Some _ | None ->
-        raise (Protocol_failure "no health response from server")
-  in
-  if opts.quit then send_request link Frame.Quit;
-  (* Wait for the orderly shutdown (EOF) so scripts can rely on the
-     server being gone when serve-bench exits. *)
-  if opts.quit then
-    while recv_response link <> None do
-      ()
-    done;
-  (try Unix.close link.fd with Unix.Unix_error _ -> ());
-  (stats, health)
+  send_request link Frame.Quit;
+  while recv_response link <> None do
+    ()
+  done;
+  (try Unix.close link.fd with Unix.Unix_error _ -> ())
 
 (* Standalone probe for `seqdiv serve-health`: one Health_request,
    optionally followed by a drain handshake (Drain_request, then wait
@@ -548,7 +475,7 @@ let probe_health ~address ~encoding ~drain =
   (try Unix.close link.fd with Unix.Unix_error _ -> ());
   (health, drained)
 
-(* --- reports ------------------------------------------------------------ *)
+(* --- incident log -------------------------------------------------------- *)
 
 let write_incident_log path results =
   let oc = open_out path in
@@ -569,191 +496,30 @@ let write_incident_log path results =
            (Hashtbl.find merged session));
   close_out oc
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_json path opts ~results ~stats ~health ~wall ~events ~symbols =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"benchmark\": \"serve-bench\",\n";
-  out "  \"options\": {\n";
-  out "    \"sessions\": %d,\n" opts.sessions;
-  out "    \"session_length\": %d,\n" opts.session_length;
-  out "    \"rounds\": %d,\n" opts.rounds;
-  out "    \"connections\": %d,\n" opts.connections;
-  out "    \"chunk\": %d,\n" opts.chunk;
-  out "    \"batch_events\": %d,\n" opts.batch_events;
-  out "    \"inflight\": %d,\n" opts.inflight;
-  out "    \"encoding\": \"%s\",\n"
-    (match opts.encoding with Frame.Binary -> "binary" | Frame.Ndjson -> "ndjson");
-  (match opts.target_shard with
-  | None -> out "    \"target_shard\": null,\n"
-  | Some (k, n) -> out "    \"target_shard\": \"%d/%d\",\n" k n);
-  out "    \"hold_open\": %b,\n" opts.hold_open;
-  out "    \"stall_ms\": %d,\n" opts.stall_ms;
-  out "    \"seed\": %d\n" opts.seed;
-  out "  },\n";
-  out "  \"machine\": {\n";
-  out "    \"hostname\": \"%s\",\n" (json_escape (Unix.gethostname ()));
-  out "    \"cores\": %d\n" (Pool.recommended_jobs ());
-  out "  },\n";
-  let rejections = List.fold_left (fun a r -> a + r.cr_rejections) 0 results in
-  let failures = List.fold_left (fun a r -> a + r.cr_failures) 0 results in
-  let reconnects = List.fold_left (fun a r -> a + r.cr_reconnects) 0 results in
-  out "  \"aggregate\": {\n";
-  out "    \"events\": %d,\n" events;
-  out "    \"symbols\": %d,\n" symbols;
-  out "    \"wall_seconds\": %.6f,\n" wall;
-  out "    \"events_per_sec\": %.1f,\n" (float_of_int events /. wall);
-  out "    \"symbols_per_sec\": %.1f,\n" (float_of_int symbols /. wall);
-  out "    \"rejections\": %d,\n" rejections;
-  out "    \"failed_batches\": %d,\n" failures;
-  out "    \"reconnects\": %d\n" reconnects;
-  out "  },\n";
-  let bo_count = List.fold_left (fun a r -> a + r.cr_backoff.bo_count) 0 results
-  and bo_total =
-    List.fold_left (fun a r -> a +. r.cr_backoff.bo_total_ms) 0.0 results
-  in
-  let bo_recent =
-    List.concat_map (fun r -> List.rev r.cr_backoff.bo_recent) results
-  in
-  out "  \"backoff\": {\n";
-  out "    \"count\": %d,\n" bo_count;
-  out "    \"total_ms\": %.3f,\n" bo_total;
-  out "    \"recent\": [\n";
-  List.iteri
-    (fun i e ->
-      out
-        "      { \"kind\": \"%s\", \"batch\": %d, \"attempt\": %d, \
-         \"delay_ms\": %.3f }%s\n"
-        e.bo_kind e.bo_batch e.bo_attempt e.bo_delay_ms
-        (if i = List.length bo_recent - 1 then "" else ","))
-    bo_recent;
-  out "    ]\n";
-  out "  },\n";
-  out "  \"health\": {\n";
-  out "    \"connections\": %d,\n" health.Frame.connections;
-  out "    \"evictions\": %d,\n" health.Frame.evictions;
-  out "    \"draining\": %b,\n" health.Frame.draining;
-  out "    \"shards\": [\n";
-  List.iteri
-    (fun i (h : Frame.shard_health) ->
-      out
-        "      { \"shard\": %d, \"alive\": %b, \"degraded\": %b, \
-         \"restarts\": %d, \"queue_depth\": %d, \"retry_after_ms\": %d }%s\n"
-        h.Frame.h_shard h.Frame.h_alive h.Frame.h_degraded h.Frame.h_restarts
-        h.Frame.h_queue_depth h.Frame.h_retry_after_ms
-        (if i = List.length health.Frame.shards_health - 1 then "" else ","))
-    health.Frame.shards_health;
-  out "    ]\n";
-  out "  },\n";
-  (* Capacity: per-shard service rate from the server's own busy-time
-     accounting (events / seconds actually spent applying batches),
-     summed.  Unlike the wall-clock aggregate it is not limited by the
-     client or by core count, so it is the number the shard-scaling
-     acceptance gate reads on single-core machines; the isolated
-     per-shard phase runs in scripts/serve_bench.sh cross-check it. *)
-  let busy_sec s = float_of_int s.Frame.busy_ns /. 1e9 in
-  let capacity =
-    List.fold_left
-      (fun acc s ->
-        if s.Frame.busy_ns = 0 then acc
-        else acc +. (float_of_int s.Frame.events /. busy_sec s))
-      0.0 stats
-  in
-  out "  \"capacity\": {\n";
-  out "    \"events_per_busy_sec\": %.1f\n" capacity;
-  out "  },\n";
-  out "  \"shards\": [\n";
-  List.iteri
-    (fun i (s : Frame.shard_stats) ->
-      out
-        "    { \"shard\": %d, \"sessions_resident\": %d, \"events\": %d, \
-         \"symbols\": %d, \"batches\": %d, \"rejected\": %d, \
-         \"queue_depth\": %d, \"bytes_resident\": %d, \"busy_ns\": %d, \
-         \"p50_batch_ns\": %d, \"p99_batch_ns\": %d, \"restarts\": %d, \
-         \"degraded\": %b, \"retry_after_ms\": %d }%s\n"
-        s.Frame.shard s.Frame.sessions_resident s.Frame.events s.Frame.symbols
-        s.Frame.batches s.Frame.rejected s.Frame.queue_depth
-        s.Frame.bytes_resident s.Frame.busy_ns s.Frame.p50_batch_ns
-        s.Frame.p99_batch_ns s.Frame.restarts s.Frame.degraded
-        s.Frame.retry_after_ms
-        (if i = List.length stats - 1 then "" else ","))
-    stats;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
 (* --- entry point -------------------------------------------------------- *)
 
 let run opts =
+  (* A dead server must surface as a failed read, not kill the client. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let corpus = build_corpus opts in
-  let total_sessions = opts.sessions * opts.rounds in
-  let ids = session_ids ~count:total_sessions ~target:opts.target_shard in
   let plans =
     List.init opts.connections (fun conn_index ->
-        plan_batches opts ~corpus ~ids ~conn_index)
+        plan_batches opts ~corpus ~conn_index)
   in
   let pool = Pool.create ~jobs:opts.connections () in
   let results =
     Pool.map pool (drive_connection opts)
       (List.mapi (fun conn_index b -> (conn_index, b)) plans)
   in
-  let started =
-    List.fold_left (fun a r -> Stdlib.min a r.cr_started) Float.max_float
-      results
-  in
-  let finished =
-    List.fold_left (fun a r -> Stdlib.max a r.cr_finished) 0.0 results
-  in
-  let wall = Stdlib.max (finished -. started) 1e-9 in
-  let events = List.fold_left (fun a r -> a + r.cr_events) 0 results in
-  let symbols = List.fold_left (fun a r -> a + r.cr_symbols) 0 results in
-  let stats, health = fetch_stats opts in
+  if opts.quit then quit_server opts;
   Option.iter (fun path -> write_incident_log path results) opts.incident_log;
+  let sum field = List.fold_left (fun a r -> a + field r) 0 results in
   Printf.printf
-    "drove %d events (%d symbols) over %d connection(s) in %.3f s: %.0f \
-     events/sec\n"
-    events symbols opts.connections wall
-    (float_of_int events /. wall);
-  List.iter
-    (fun (s : Frame.shard_stats) ->
-      Printf.printf
-        "shard %d: %d events, %d sessions resident, %d KiB resident, p50 %d \
-         us, p99 %d us, busy %.3f s%s\n"
-        s.Frame.shard s.Frame.events s.Frame.sessions_resident
-        (s.Frame.bytes_resident / 1024)
-        (s.Frame.p50_batch_ns / 1000)
-        (s.Frame.p99_batch_ns / 1000)
-        (float_of_int s.Frame.busy_ns /. 1e9)
-        (if s.Frame.rejected > 0 then
-           Printf.sprintf " (%d rejections)" s.Frame.rejected
-         else ""))
-    stats;
-  List.iter
-    (fun (h : Frame.shard_health) ->
-      if h.Frame.h_degraded || h.Frame.h_restarts > 0 then
-        Printf.printf "shard %d: %s, %d restart(s)\n" h.Frame.h_shard
-          (if h.Frame.h_degraded then "DEGRADED" else "recovered")
-          h.Frame.h_restarts)
-    health.Frame.shards_health;
-  if health.Frame.evictions > 0 then
-    Printf.printf "server evicted %d slow client connection(s)\n"
-      health.Frame.evictions;
-  Option.iter
-    (fun path ->
-      write_json path opts ~results ~stats ~health ~wall ~events ~symbols)
-    opts.json
+    "drove %d events (%d symbols) over %d connection(s): %d rejection(s), %d \
+     failed batch(es), %d reconnect(s)\n"
+    (sum (fun r -> r.cr_events))
+    (sum (fun r -> r.cr_symbols))
+    opts.connections
+    (sum (fun r -> r.cr_rejections))
+    (sum (fun r -> r.cr_failures))
+    (sum (fun r -> r.cr_reconnects))

@@ -1247,27 +1247,9 @@ let serve_cmd =
 let serve_bench_cmd =
   let run verbose socket tcp ndjson sessions session_length rounds connections
       chunk batch_events inflight window anomaly_size anomalous_every seed
-      train_len target_shard hold_open reconnect stall_ms incident_log json
-      quit =
+      train_len reconnect stall_ms incident_log quit =
     setup_logging verbose;
     let address = address_of socket tcp in
-    let target_shard =
-      Option.map
-        (fun s ->
-          match String.index_opt s '/' with
-          | Some i -> (
-              let k = String.sub s 0 i in
-              let n = String.sub s (i + 1) (String.length s - i - 1) in
-              match (int_of_string_opt k, int_of_string_opt n) with
-              | Some k, Some n when n > 0 && k >= 0 && k < n -> (k, n)
-              | _ ->
-                  Printf.eprintf "seqdiv: bad --target-shard %s (want K/N)\n" s;
-                  exit 2)
-          | None ->
-              Printf.eprintf "seqdiv: bad --target-shard %s (want K/N)\n" s;
-              exit 2)
-        target_shard
-    in
     let options =
       {
         Bench_client.address;
@@ -1284,12 +1266,9 @@ let serve_bench_cmd =
         anomalous_every;
         seed;
         train_len;
-        target_shard;
-        hold_open;
         reconnect;
         stall_ms;
         incident_log;
-        json;
         quit;
       }
     in
@@ -1360,24 +1339,6 @@ let serve_bench_cmd =
       & info [ "anomalous-every" ] ~docv:"K"
           ~doc:"Every $(docv)-th session carries an injected anomaly (0 = none).")
   in
-  let target_shard_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "target-shard" ] ~docv:"K/N"
-          ~doc:
-            "Relabel session ids so every session routes to shard K of an \
-             N-shard server — measures one shard's service rate in isolation.")
-  in
-  let hold_open_t =
-    Arg.(
-      value & flag
-      & info [ "hold-open" ]
-          ~doc:
-            "Never send end-of-session: every driven session stays \
-             resident in its shard table, so the sampled stats measure \
-             loaded-table (resident-session) memory.")
-  in
   let reconnect_t =
     Arg.(
       value & flag
@@ -1406,12 +1367,6 @@ let serve_bench_cmd =
             "Write the collected incident events, grouped by session in \
              session order — byte-comparable across runs and shard counts.")
   in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write a JSON benchmark report.")
-  in
   let quit_t =
     Arg.(
       value & flag
@@ -1421,14 +1376,15 @@ let serve_bench_cmd =
     (Cmd.info "serve-bench"
        ~doc:
          "Drive a running $(b,seqdiv serve) with a synthetic session \
-          workload over the socket and report throughput, latency and \
-          per-shard service capacity.")
+          workload over the socket, collect its incident log and print \
+          one line counting what was driven (events, symbols, rejections, \
+          failed batches, reconnects).  Performance is measured by \
+          perfbench, not here.")
     Term.(
       const run $ verbose_t $ socket_t $ tcp_t $ ndjson_t $ sessions_t
       $ session_length_t $ rounds_t $ connections_t $ chunk_t $ batch_events_t
       $ inflight_t $ window_t $ anomaly_size_t $ anomalous_every_t $ seed_t
-      $ train_len_t $ target_shard_t $ hold_open_t $ reconnect_t $ stall_ms_t
-      $ incident_log_t $ json_t $ quit_t)
+      $ train_len_t $ reconnect_t $ stall_ms_t $ incident_log_t $ quit_t)
 
 let serve_health_cmd =
   let run socket tcp ndjson drain =

@@ -247,15 +247,8 @@ let iter_contexts t ~depth f =
   in
   walk t.root 0
 
-let memory_words t = t.nodes * (t.alphabet_size + 3)
-
 let pp_stats ppf t =
   Format.fprintf ppf "trie{max_len=%d nodes=%d distinct=[%s]}" t.max_len
     t.nodes
     (String.concat ";"
        (List.init t.max_len (fun i -> string_of_int t.distincts.(i))))
-
-let random_probe t rng ~len =
-  assert (len >= 1 && len <= t.max_len);
-  assert (t.alphabet_size <= 256);
-  String.init len (fun _ -> Char.chr (Prng.int rng t.alphabet_size))

@@ -13,8 +13,6 @@
     limited to alphabets of at most 256 symbols (one byte per
     symbol). *)
 
-open Seqdiv_util
-
 type t
 
 type node
@@ -115,7 +113,7 @@ val distinct : t -> int -> int
 
 val node_count : t -> int
 (** Total allocated trie nodes — the memory-footprint proxy reported by
-    the A5 benchmark and by {!Seqdiv_core.Engine.stats}. *)
+    {!Seqdiv_core.Engine.stats}. *)
 
 (** {1 Traversal} *)
 
@@ -131,13 +129,5 @@ val iter_contexts : t -> depth:int -> (int array -> node -> unit) -> unit
     with {!context_total} / {!continuation_count}).  The symbol buffer
     is reused between calls.  Requires [1 <= depth < max_len]. *)
 
-val memory_words : t -> int
-(** Rough allocated size in machine words (nodes x (alphabet + 3)). *)
-
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: max length, node count, distinct counts. *)
-
-val random_probe : t -> Prng.t -> len:int -> string
-(** A uniformly random key of the given length over the trie's alphabet
-    (present or not) — handy for benchmarking lookups.  Requires an
-    alphabet of at most 256 symbols. *)

@@ -111,6 +111,32 @@ status=0
   echo "deadline validation: expected exit 2, got $status" >&2; exit 1; }
 echo "deadline smoke test: OK"
 
+# Paper-reproduction smoke test (bench/main.exe, each retained mode
+# once): the full reproduction must complete; under seeded transient
+# faults the supervised grid must put every cell where the fault-free
+# run does (and faults must actually have been injected); the
+# static-vs-adaptive comparison must report both alarm budgets.
+paper=./_build/default/bench/main.exe
+"$paper" -j 2 > /dev/null
+small="--train-len 20000 --background-len 3000"
+# shellcheck disable=SC2086  # small is a word list by design
+"$paper" --grid-only $small > "$tmp/grid.out"
+# shellcheck disable=SC2086
+"$paper" --grid-only --chaos --trace $small > "$tmp/grid-chaos.out" \
+  2> "$tmp/grid-chaos.err"
+grep -q 'supervision: [1-9][0-9]* fault(s) injected' "$tmp/grid-chaos.err"
+grep ': capable ' "$tmp/grid.out" > "$tmp/grid.maps"
+grep ': capable ' "$tmp/grid-chaos.out" > "$tmp/grid-chaos.maps"
+[ "$(wc -l < "$tmp/grid.maps")" -eq 3 ] || {
+  echo "paper smoke test: expected 3 map summaries" >&2; exit 1; }
+diff "$tmp/grid.maps" "$tmp/grid-chaos.maps"
+# shellcheck disable=SC2086
+"$paper" --adaptive $small > "$tmp/adaptive.out"
+for budget in 0.01 0.05; do
+  grep -q "^adaptive_b${budget}_adaptive_alarm_rate: " "$tmp/adaptive.out"
+done
+echo "paper smoke test: OK"
+
 # Flat-model smoke test: train + save a text model, compile it to the
 # mmap-ready flat binary, then score a trace through both — the text
 # model's own trie descent and the mmap-loaded automaton.  `model
@@ -179,7 +205,57 @@ wait "$client_pid"
 wait "$serve_pid" 2>/dev/null || true
 diff "$tmp/serve-ref.log" "$tmp/serve-kill.log"
 
-# The log is also invariant in the shard count (determinism contract).
+# Frozen client: freeze the client (SIGSTOP) once shard 0 has committed
+# state, SIGKILL the server and restart it with --resume while the
+# client is frozen, then thaw it (SIGCONT).  The client first reads the
+# acks already in its socket buffer, then writes its next batch into
+# the dead connection.  That write must not kill it (SIGPIPE): the
+# next read reports the death, and the client reconnects and resends.
+mkdir -p "$tmp/serve-freeze"
+"$bin" serve --model "$tmp/stide.flat" --socket "$serve_sock" --shards 2 \
+  --journal-dir "$tmp/serve-freeze" > /dev/null 2>&1 &
+serve_pid=$!
+# shellcheck disable=SC2086
+"$bin" serve-bench --socket "$serve_sock" $bench_args \
+  --incident-log "$tmp/serve-freeze.log" --reconnect --quit > /dev/null 2>&1 &
+client_pid=$!
+while [ "$(cat "$tmp/serve-freeze/shard-0.journal" 2>/dev/null | wc -c)" -lt 4000 ] \
+  && kill -0 "$client_pid" 2>/dev/null; do
+  sleep 0.02
+done
+kill -STOP "$client_pid" 2>/dev/null || true
+# No fallback to a plain diff: a client that cannot be frozen (it has
+# already exited) fails the stage.
+frozen=no
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+  case "$(ps -o stat= -p "$client_pid" 2>/dev/null)" in
+    T*) frozen=yes; break ;;
+    "" | Z*) break ;;
+  esac
+  sleep 0.02
+done
+if [ "$frozen" != yes ]; then
+  echo "serve freeze-resume: client exited before the freeze" >&2
+  kill -9 "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
+kill -9 "$serve_pid" 2>/dev/null || true
+wait "$serve_pid" 2>/dev/null || true
+"$bin" serve --model "$tmp/stide.flat" --socket "$serve_sock" --shards 2 \
+  --journal-dir "$tmp/serve-freeze" --resume > /dev/null 2>&1 &
+serve_pid=$!
+kill -CONT "$client_pid"
+status=0
+wait "$client_pid" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "serve freeze-resume: client exited with status $status" >&2
+  kill -9 "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
+wait "$serve_pid" 2>/dev/null || true
+diff "$tmp/serve-ref.log" "$tmp/serve-freeze.log"
+
+# The log is also invariant in the shard count (determinism contract)...
 "$bin" serve --model "$tmp/stide.flat" --socket "$serve_sock" --shards 4 \
   > /dev/null 2>&1 &
 serve_pid=$!
@@ -188,6 +264,17 @@ serve_pid=$!
   --incident-log "$tmp/serve-4.log" --quit > /dev/null
 wait "$serve_pid"
 diff "$tmp/serve-ref.log" "$tmp/serve-4.log"
+
+# ...and in the connection count: three connections split the sessions
+# between them.
+"$bin" serve --model "$tmp/stide.flat" --socket "$serve_sock" --shards 2 \
+  > /dev/null 2>&1 &
+serve_pid=$!
+# shellcheck disable=SC2086
+"$bin" serve-bench --socket "$serve_sock" $bench_args --connections 3 \
+  --incident-log "$tmp/serve-3conn.log" --quit > /dev/null
+wait "$serve_pid"
+diff "$tmp/serve-ref.log" "$tmp/serve-3conn.log"
 echo "serve kill-resume smoke test: OK"
 
 # Adaptive-threshold serve smoke: with --alarm-budget each session's

@@ -1,4 +1,3 @@
-open Seqdiv_util
 open Seqdiv_stream
 open Seqdiv_test_support
 
@@ -172,20 +171,44 @@ let test_agrees_on_suite_prefix () =
   Alcotest.(check bool) "full agreement" true
     (agrees_with_hash trie training ~max_len:6)
 
-let test_memory_and_stats () =
+let test_pp_stats () =
   let trace = trace8 [ 0; 1; 2; 3 ] in
   let t = Seq_trie.of_trace ~max_len:2 trace in
-  Alcotest.(check bool) "memory positive" true (Seq_trie.memory_words t > 0);
   let s = Format.asprintf "%a" Seq_trie.pp_stats t in
   Alcotest.(check bool) "stats mentions nodes" true
     (String.length s > 0 && String.sub s 0 5 = "trie{")
 
-let test_random_probe () =
-  let t = Seq_trie.create ~alphabet_size:8 ~max_len:5 in
-  let rng = Prng.create ~seed:1 in
-  let p = Seq_trie.random_probe t rng ~len:4 in
-  Alcotest.(check int) "length" 4 (String.length p);
-  String.iter (fun c -> Alcotest.(check bool) "in alphabet" true (Char.code c < 8)) p
+let test_lookup_allocation () =
+  (* The cursor lookups descend over the raw trace array and allocate
+     nothing.  2N window lookups must allocate exactly what N do: the
+     loop's fixed cost is the same, and a lookup costs 0 words.  The
+     probes are the windows of an injected test stream, so the hit path
+     and the early-exit miss path both run. *)
+  let suite = tiny_suite () in
+  let width = 6 in
+  let trie =
+    Seq_trie.of_trace ~max_len:width suite.Seqdiv_synth.Suite.training
+  in
+  let test = Seqdiv_synth.Suite.stream suite ~anomaly_size:4 ~window:width in
+  let probe = test.Seqdiv_synth.Suite.injection.Seqdiv_synth.Injector.trace in
+  let data = Trace.raw probe in
+  let starts = Trace.window_count probe ~width in
+  let hits = ref 0 and misses = ref 0 in
+  let words lookups =
+    let before = Gc.minor_words () in
+    for i = 0 to lookups - 1 do
+      let pos = i mod starts in
+      if Seq_trie.mem_at trie data ~pos ~len:width then
+        hits := !hits + Seq_trie.count_at trie data ~pos ~len:width
+      else incr misses
+    done;
+    Gc.minor_words () -. before
+  in
+  let n = 4 * starts in
+  let once = words n in
+  let twice = words (2 * n) in
+  Alcotest.(check (float 0.0)) "zero words per lookup" once twice;
+  Alcotest.(check bool) "hits and misses" true (!hits > 0 && !misses > 0)
 
 let symbols_gen = QCheck.(list_of_size Gen.(3 -- 80) (int_bound 7))
 
@@ -254,8 +277,9 @@ let () =
           Alcotest.test_case "iter_slice sorted" `Quick test_iter_slice_sorted;
           Alcotest.test_case "agrees on suite prefix" `Quick
             test_agrees_on_suite_prefix;
-          Alcotest.test_case "memory/stats" `Quick test_memory_and_stats;
-          Alcotest.test_case "random probe" `Quick test_random_probe;
+          Alcotest.test_case "pp_stats" `Quick test_pp_stats;
+          Alcotest.test_case "no allocation per lookup" `Quick
+            test_lookup_allocation;
           prop_counts_match_hash_reference;
           prop_ctotal_is_continuations;
           prop_totals_match_window_counts;
