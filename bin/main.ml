@@ -894,15 +894,17 @@ let classify_cmd =
         "note: the monitored traces use %d distinct calls vs %d in training — \
          novel calls are necessarily foreign\n"
         (Array.length test_mapping) (Array.length mapping);
-    let db = Sessions.seq_db train_sessions ~width:window in
-    let model = Stide.train_of_db db in
+    let trie =
+      Seq_trie.of_traces ~max_len:window (Sessions.traces train_sessions)
+    in
+    let model = Stide.of_trie trie ~window in
     Printf.printf
       "trained stide (window %d) on %d sessions / %d calls (%d distinct \
        sequences)\n"
       window
       (Sessions.count train_sessions)
       (Sessions.total_length train_sessions)
-      (Seq_db.cardinal db);
+      (Seq_trie.distinct trie window);
     List.iteri
       (fun i session ->
         if Trace.length session < window then

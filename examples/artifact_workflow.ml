@@ -41,7 +41,7 @@ let () =
   Model_io.save_markov_file markov_path markov_model;
   Printf.printf "models saved: %s (%d sequences), %s (%d contexts)\n"
     stide_path
-    (Seq_db.cardinal (Stide.db stide_model))
+    (Seq_trie.distinct (Stide.trie stide_model) window)
     markov_path
     (Markov.contexts markov_model);
 
@@ -53,8 +53,10 @@ let () =
       ()
   in
   Printf.printf "restored stide model has %d sequences (same as trained: %s)\n"
-    (Seq_db.cardinal (Stide.db restored))
-    (if Seq_db.cardinal (Stide.db restored) = Seq_db.cardinal (Stide.db stide_model)
+    (Seq_trie.distinct (Stide.trie restored) window)
+    (if
+       Seq_trie.distinct (Stide.trie restored) window
+       = Seq_trie.distinct (Stide.trie stide_model) window
      then "yes"
      else "NO");
 

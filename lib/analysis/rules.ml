@@ -360,13 +360,13 @@ let hot_path_violation parts =
       Some
         "builds a window string per call; score over Trace.raw with the \
          *_at cursor API (or whitelist with `lint: allow hot-path`)"
-  | [ (("Seq_db" | "Seq_trie" | "Ngram_index") as m); f ]
-    when List.mem f string_key_queries ->
+  | [ "Seq_trie"; f ] when List.mem f string_key_queries ->
       Some
         (Printf.sprintf
-           "%s.%s is a string-keyed lookup; descend with the %s *_at cursor \
-            API over the raw trace (or whitelist with `lint: allow hot-path`)"
-           m f m)
+           "Seq_trie.%s is a string-keyed lookup; descend with the Seq_trie \
+            *_at cursor API over the raw trace (or whitelist with `lint: \
+            allow hot-path`)"
+           f)
   | [ "Hashtbl"; ("find" | "find_opt" | "mem") ] ->
       Some
         "per-window hash lookups belong to the replaced string-key backend; \

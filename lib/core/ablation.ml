@@ -211,7 +211,7 @@ let deviation_sweep ?engine ~(base : Suite.params) ~deviations () =
       let rng = Seqdiv_util.Prng.create ~seed:p.Suite.seed in
       let training = Generator.training chain rng ~len:p.Suite.train_len in
       let index =
-        Ngram_index.build
+        Seq_trie.of_trace
           ~max_len:(Stdlib.max p.Suite.dw_max (p.Suite.as_max + 1))
           training
       in
@@ -274,22 +274,23 @@ let seed_robustness ?engine ~(base : Suite.params) ~seeds () =
 
 let rare_threshold_sweep suite ~thresholds =
   let index = suite.Suite.index in
-  let db2 = Ngram_index.db index 2 in
+  let total = float_of_int (Seq_trie.total index 2) in
   List.map
     (fun threshold ->
-      let rare_twograms = List.length (Seq_db.rare_keys db2 ~threshold) in
-      let common_twograms = List.length (Seq_db.common_keys db2 ~threshold) in
+      let rare_twograms = ref 0 in
+      Seq_trie.iter_slice index ~depth:2 (fun _ count ->
+          if float_of_int count /. total < threshold then incr rare_twograms);
+      let common_twograms = Seq_trie.distinct index 2 - !rare_twograms in
       let mfs_candidates =
         Mfs.candidates index suite.Suite.alphabet ~size:5
           ~rare_threshold:threshold
         |> List.filter (fun c ->
-               let n = Array.length c in
-               let rare_at i =
-                 Ngram_index.is_rare index ~threshold
-                   (Trace.key_of_symbols [| c.(i); c.(i + 1) |])
+               let rare_at pos =
+                 Seq_trie.is_rare_at index ~threshold c ~pos ~len:2
                in
-               rare_at 0 && rare_at (n - 2))
+               rare_at 0 && rare_at (Array.length c - 2))
         |> List.length
       in
-      { threshold; rare_twograms; common_twograms; mfs_candidates })
+      { threshold; rare_twograms = !rare_twograms; common_twograms;
+        mfs_candidates })
     thresholds

@@ -343,22 +343,12 @@ let train_batch_result t specs =
     |> List.rev
   in
   let t0 = t.clock () in
-  let trie_misses, plain_misses =
-    List.partition (fun (_, d, _, _) -> Trained.trie_capable d) misses
-  in
-  (* Largest window first: the costliest models (nn at the widest
-     window) start at once instead of last, when they would leave the
-     other domains idle.  Results are committed and answered by key, so
-     the order is invisible outside the pool. *)
-  let plain_misses =
-    List.stable_sort
-      (fun (_, _, w, _) (_, _, w', _) -> Int.compare w' w)
-      plain_misses
+  let trie_misses =
+    List.filter (fun (_, d, _, _) -> Trained.trie_capable d) misses
   in
   (* Shared-trie plan: one trie per distinct training trace, deep
-     enough for every trie-capable miss that shares it; the 14x3
-     (window x detector) grid then trains as one trace scan plus cheap
-     view constructions. *)
+     enough for every trie-capable miss that shares it; the whole
+     (window x detector) grid then trains from one trace scan. *)
   let upsert groups fp trace window =
     let rec go = function
       | [] -> [ (fp, (trace, window)) ]
@@ -413,47 +403,42 @@ let train_batch_result t specs =
       trie_hits =
         t.stats.trie_hits + List.length trie_misses - List.length needs_build;
     };
-  (* Trie-capable models are cheap width-slice views: supervise them
-     serially on the calling domain, in miss order. *)
-  let serial = Pool.create ~jobs:1 () in
+  (* Every miss that a failed trie build did not poison trains in one
+     supervised batch on the pool, from the shared trie when the
+     detector can.  Largest window first: the costliest models (nn at
+     the widest window) start at once instead of last, when they would
+     leave the other domains idle.  Results are committed and answered
+     by key, so the order is invisible outside the pool. *)
   let healthy, poisoned =
     List.partition
-      (fun ((_, _, fp), _, _, _) -> not (Hashtbl.mem trie_faults fp))
-      trie_misses
+      (fun ((_, _, fp), d, _, _) ->
+        not (Trained.trie_capable d && Hashtbl.mem trie_faults fp))
+      misses
   in
-  let healthy_results =
-    supervised_thunks t serial
+  let healthy =
+    List.stable_sort (fun (_, _, w, _) (_, _, w', _) -> Int.compare w' w) healthy
+  in
+  let results =
+    supervised_thunks t t.pool
       (List.map
          (fun ((_, _, fp) as k, d, window, trace) ->
            let trie = Hashtbl.find_opt t.tries fp in
            ( train_task_key k,
              fun () ->
-               match trie with
-               | Some trie -> (
-                   match Trained.train_of_trie d trie ~window with
-                   | Some trained -> trained
-                   | None -> Trained.train d ~window trace)
+               match
+                 Option.bind trie (fun trie -> Trained.train_of_trie d trie ~window)
+               with
+               | Some trained -> trained
                | None -> Trained.train d ~window trace ))
          healthy)
   in
-  let plain_results =
-    supervised_thunks t t.pool
-      (List.map
-         (fun (k, d, window, trace) ->
-           (train_task_key k, fun () -> Trained.train d ~window trace))
-         plain_misses)
-  in
   let miss_faults = Hashtbl.create 4 in
-  let commit miss_list results =
-    List.iter2
-      (fun (((_, _, fp) as k), _, _, _) result ->
-        match result with
-        | Ok trained -> Hashtbl.add t.cache k (attach_scorer t fp trained)
-        | Error fault -> Hashtbl.replace miss_faults k fault)
-      miss_list results
-  in
-  commit healthy healthy_results;
-  commit plain_misses plain_results;
+  List.iter2
+    (fun (((_, _, fp) as k), _, _, _) result ->
+      match result with
+      | Ok trained -> Hashtbl.add t.cache k (attach_scorer t fp trained)
+      | Error fault -> Hashtbl.replace miss_faults k fault)
+    healthy results;
   List.iter
     (fun (((_, _, fp) as k), _, _, _) ->
       match Hashtbl.find_opt trie_faults fp with

@@ -207,15 +207,14 @@ let rank t x =
    the -0.0/+0.0 tie, then (g, Δ).  Identical tuple multisets sort to
    identical sequences whichever summary comes first, which is what
    makes merge commutative at the bit level. *)
-let tuple_before av ag ad bv bg bd =
+let tuple_compare av ag ad bv bg bd =
   let c = Float.compare av bv in
   let c =
     if c <> 0 then c
     else Int64.compare (Int64.bits_of_float av) (Int64.bits_of_float bv)
   in
   let c = if c <> 0 then c else Stdlib.compare ag bg in
-  let c = if c <> 0 then c else Stdlib.compare ad bd in
-  c <= 0
+  if c <> 0 then c else Stdlib.compare ad bd
 
 let merge a b =
   Seqdiv_util.Deadline.checkpoint ();
@@ -242,31 +241,37 @@ let merge a b =
     let pad_a = int_of_float (2.0 *. b.eps *. float_of_int b.n) in
     let pad_b = int_of_float (2.0 *. a.eps *. float_of_int a.n) in
     let ia = ref 0 and ib = ref 0 and k = ref 0 in
+    let take_a () =
+      t.vs.(!k) <- a.vs.(!ia);
+      t.gs.(!k) <- a.gs.(!ia);
+      t.ds.(!k) <- a.ds.(!ia) + pad_a;
+      incr ia;
+      incr k
+    and take_b () =
+      t.vs.(!k) <- b.vs.(!ib);
+      t.gs.(!k) <- b.gs.(!ib);
+      t.ds.(!k) <- b.ds.(!ib) + pad_b;
+      incr ib;
+      incr k
+    in
     while !ia < a.len || !ib < b.len do
-      let take_a =
-        if !ib >= b.len then true
-        else if !ia >= a.len then false
-        else
-          tuple_before a.vs.(!ia)
+      if !ib >= b.len then take_a ()
+      else if !ia >= a.len then take_b ()
+      else
+        let c =
+          tuple_compare a.vs.(!ia)
             (a.gs.(!ia))
             (a.ds.(!ia) + pad_a)
             b.vs.(!ib)
             (b.gs.(!ib))
             (b.ds.(!ib) + pad_b)
-      in
-      if take_a then begin
-        t.vs.(!k) <- a.vs.(!ia);
-        t.gs.(!k) <- a.gs.(!ia);
-        t.ds.(!k) <- a.ds.(!ia) + pad_a;
-        incr ia
-      end
-      else begin
-        t.vs.(!k) <- b.vs.(!ib);
-        t.gs.(!k) <- b.gs.(!ib);
-        t.ds.(!k) <- b.ds.(!ib) + pad_b;
-        incr ib
-      end;
-      incr k
+        in
+        (* Identical tuples are taken together: within one summary,
+           equal values keep insertion order rather than tuple order, so
+           advancing only one side would let [merge a b] and [merge b a]
+           interleave the tuples that follow differently. *)
+        if c <= 0 then take_a ();
+        if c >= 0 then take_b ()
     done;
     t.len <- total;
     compress t

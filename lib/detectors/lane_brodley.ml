@@ -29,18 +29,25 @@ let similarity a b =
 
 let max_similarity dw = dw * (dw + 1) / 2
 
+(* The instances are the [window]-slice of the training trie, in
+   ascending order. *)
+let of_trie trie ~window =
+  assert (window >= 2 && window <= Seq_trie.max_len trie);
+  let instances = Array.make (Seq_trie.distinct trie window) [||] in
+  let i = ref 0 in
+  Seq_trie.iter_slice trie ~depth:window (fun w _count ->
+      instances.(!i) <- Array.copy w;
+      incr i);
+  { window; instances }
+
 let train ~window trace =
   assert (window >= 2);
   if Trace.length trace < window then
     (* lint: allow partiality — documented precondition *)
     invalid_arg "Lane_brodley.train: trace shorter than window";
-  let db = Seq_db.of_trace ~width:window trace in
-  let instances =
-    Seq_db.keys db |> List.map Trace.symbols_of_key |> Array.of_list
-  in
-  { window; instances }
+  of_trie (Seq_trie.of_trace ~max_len:window trace) ~window
 
-let train_of_trie = None
+let train_of_trie = Some of_trie
 let compile = None
 let window m = m.window
 let instances m = Array.length m.instances

@@ -25,18 +25,17 @@ let maximal_epsilon = 0.005
    reports such contexts as absent, exactly like the window-sliding
    hashtable build that never saw them. *)
 
+let of_trie trie ~window =
+  assert (window >= 2);
+  assert (window <= Seq_trie.max_len trie);
+  { window; k = Seq_trie.alphabet_size trie; trie; smoothing = 0.0 }
+
 let train ~window trace =
   assert (window >= 2);
   if Trace.length trace < window then
     (* lint: allow partiality — documented precondition *)
     invalid_arg "Markov.train: trace shorter than window";
-  let k = Alphabet.size (Trace.alphabet trace) in
-  { window; k; trie = Seq_trie.of_trace ~max_len:window trace; smoothing = 0.0 }
-
-let of_trie trie ~window =
-  assert (window >= 2);
-  assert (window <= Seq_trie.max_len trie);
-  { window; k = Seq_trie.alphabet_size trie; trie; smoothing = 0.0 }
+  of_trie (Seq_trie.of_trace ~max_len:window trace) ~window
 
 let train_of_trie = Some of_trie
 
@@ -60,27 +59,26 @@ let fold_contexts m ~init ~f =
       let counts =
         Array.init m.k (fun s -> Seq_trie.continuation_count m.trie node s)
       in
-      acc := f !acc ~context:(Trace.key_of_symbols buf) ~counts);
+      acc := f !acc ~context:(Array.copy buf) ~counts);
   !acc
 
 let of_context_counts ~window ~alphabet_size entries =
   assert (window >= 2 && alphabet_size >= 1);
-  (* Context keys may carry symbols beyond the nominal alphabet (they
-     are arbitrary bytes in a serialised model); widen the trie to admit
-     them while keeping [k] — the smoothing denominator — as given. *)
+  (* Contexts may carry symbols beyond the nominal alphabet (a
+     serialised model's contexts are free-standing numbers); widen the
+     trie to admit them while keeping [k] — the smoothing denominator —
+     as given. *)
   let trie_k =
     List.fold_left
       (fun acc (context, _) ->
-        String.fold_left
-          (fun acc c -> Stdlib.max acc (Char.code c + 1))
-          acc context)
+        Array.fold_left (fun acc c -> Stdlib.max acc (c + 1)) acc context)
       alphabet_size entries
   in
   let trie = Seq_trie.create ~alphabet_size:trie_k ~max_len:window in
   let buf = Array.make window 0 in
   List.iter
     (fun (context, counts) ->
-      if String.length context <> window - 1 then
+      if Array.length context <> window - 1 then
         (* lint: allow partiality — documented precondition *)
         invalid_arg "Markov.of_context_counts: context length";
       if Array.length counts <> alphabet_size then
@@ -89,7 +87,7 @@ let of_context_counts ~window ~alphabet_size entries =
       let total = Array.fold_left ( + ) 0 counts in
       (* lint: allow partiality — documented precondition *)
       if total <= 0 then invalid_arg "Markov.of_context_counts: empty context";
-      String.iteri (fun i c -> buf.(i) <- Char.code c) context;
+      Array.blit context 0 buf 0 (window - 1);
       Array.iteri
         (fun next count ->
           if count > 0 then begin

@@ -1,8 +1,14 @@
 open Seqdiv_stream
 
-let symbols_to_string key =
-  Trace.symbols_of_key key |> Array.to_list |> List.map string_of_int
-  |> String.concat ","
+(* The text formats carry symbols 0..255. *)
+let symbols_to_string ~what symbols =
+  Array.iter
+    (fun v ->
+      if v > 255 then
+        (* lint: allow partiality — documented precondition *)
+        invalid_arg (Printf.sprintf "%s: symbol %d above 255" what v))
+    symbols;
+  String.concat "," (List.map string_of_int (Array.to_list symbols))
 
 let symbols_of_string s =
   String.split_on_char ',' s
@@ -50,13 +56,13 @@ let header_field ~what fields name =
   | None -> Parse_error.fail "%s: bad header" what
 
 let save_stide model =
-  let db = Stide.db model in
+  let window = Stide.window model in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (header_line ~kind:"stide" [ ("window", Stide.window model) ]);
-  Seq_db.iter db (fun key count ->
+  Buffer.add_string buf (header_line ~kind:"stide" [ ("window", window) ]);
+  Seq_trie.iter_slice (Stide.trie model) ~depth:window (fun w count ->
       Buffer.add_string buf
-        (Printf.sprintf "%d %s\n" count (symbols_to_string key)));
+        (Printf.sprintf "%d %s\n" count
+           (symbols_to_string ~what:"Model_io.save_stide" w)));
   Buffer.contents buf
 
 let nonempty_lines s =
@@ -70,7 +76,8 @@ let load_stide s =
       let fields = parse_header ~what ~kind:"stide" header in
       let window = header_field ~what fields "window" in
       if window < 2 then Parse_error.fail "Model_io.load_stide: bad window";
-      let db = Seq_db.create ~width:window () in
+      (* Every symbol the format can carry. *)
+      let trie = Seq_trie.create ~alphabet_size:256 ~max_len:window in
       List.iter
         (fun line ->
           match String.index_opt line ' ' with
@@ -90,9 +97,9 @@ let load_stide s =
               in
               if Array.length symbols <> window then
                 Parse_error.fail "Model_io.load_stide: wrong arity in: %s" line;
-              Seq_db.add_many db (Trace.key_of_symbols symbols) ~count)
+              Seq_trie.add_many_at trie symbols ~pos:0 ~len:window ~count)
         rest;
-      Stide.train_of_db db
+      Stide.of_trie trie ~window
 
 let save_markov model =
   let buf = Buffer.create 1024 in
@@ -107,7 +114,7 @@ let save_markov model =
   let lines =
     Markov.fold_contexts model ~init:[] ~f:(fun acc ~context ~counts ->
         Printf.sprintf "%s | %s"
-          (symbols_to_string context)
+          (symbols_to_string ~what:"Model_io.save_markov" context)
           (String.concat "," (List.map string_of_int (Array.to_list counts)))
         :: acc)
   in
@@ -141,9 +148,7 @@ let load_markov s =
                   String.trim
                     (String.sub line (i + 1) (String.length line - i - 1))
                 in
-                let context =
-                  Trace.key_of_symbols (symbols_of_string context_part)
-                in
+                let context = symbols_of_string context_part in
                 let counts =
                   String.split_on_char ',' counts_part
                   |> List.map (fun tok ->

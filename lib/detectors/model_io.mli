@@ -19,7 +19,8 @@ open Seqdiv_stream
 
 val save_stide : Stide.model -> string
 (** Serialise a Stide model (window size plus every distinct sequence
-    with its count). *)
+    with its count).  The text formats carry symbols 0..255.
+    @raise Invalid_argument on a larger symbol. *)
 
 val load_stide : string -> Stide.model
 (** Inverse of {!save_stide}.
@@ -27,7 +28,8 @@ val load_stide : string -> Stide.model
 
 val save_markov : Markov.model -> string
 (** Serialise a Markov model (window, alphabet size, and the
-    context-continuation count table). *)
+    context-continuation count table).
+    @raise Invalid_argument on a context symbol above 255. *)
 
 val load_markov : string -> Markov.model
 (** Inverse of {!save_markov}.

@@ -31,34 +31,10 @@ let name = "nn"
    continuations stay close to 1. *)
 let maximal_epsilon = 1e-2
 
-let train_of_trie = None
 let compile = None
 let window m = m.window
 let params m = m.params
 let training_loss m = m.loss
-
-(* Distinct (context, next) pairs of the training stream with weights
-   proportional to their counts; training on these is equivalent to
-   training on the raw stream but far cheaper on repetitive data. *)
-let gather_pairs ~window trace =
-  let ctx_len = window - 1 in
-  let table = Hashtbl.create 256 in
-  Trace.iter_windows trace ~width:window (fun pos ->
-      let ctx = Trace.key trace ~pos ~len:ctx_len in
-      let next = Trace.get trace (pos + ctx_len) in
-      let key = (ctx, next) in
-      let prev = Option.value (Hashtbl.find_opt table key) ~default:0 in
-      Hashtbl.replace table key (prev + 1));
-  let total =
-    (* lint: allow determinism — integer sum is order-insensitive *)
-    float_of_int (Hashtbl.fold (fun _ c acc -> acc + c) table 0)
-  in
-  (* lint: allow determinism — collection order is erased by the sort *)
-  Hashtbl.fold
-    (fun (ctx, next) c acc ->
-      (Trace.symbols_of_key ctx, next, float_of_int c /. total) :: acc)
-    table []
-  |> List.sort compare
 
 (* Sparse evaluation (see the interface): the first layer sums the
    context's hot columns with Matrix's one-hot kernels.  Everything
@@ -113,13 +89,15 @@ let step_vector p v g w =
     w.(i) <- w.(i) +. v.(i)
   done
 
-let train_with p ~window trace =
-  assert (window >= 2);
-  if Trace.length trace < window then
-    (* lint: allow partiality — documented precondition *)
-    invalid_arg "Neural.train: trace shorter than window";
+(* Training runs over the distinct (context, next) pairs of the training
+   stream — the [window]-slice of its trie, in ascending order — with
+   weights proportional to their counts; training on these is
+   equivalent to training on the raw stream but far cheaper on
+   repetitive data. *)
+let of_trie_with p trie ~window =
+  assert (window >= 2 && window <= Seq_trie.max_len trie);
   assert (p.hidden > 0 && p.epochs >= 0);
-  let k = Alphabet.size (Trace.alphabet trace) in
+  let k = Seq_trie.alphabet_size trie in
   let ctx_len = window - 1 in
   let input = ctx_len * k in
   let rng = Prng.create ~seed:p.seed in
@@ -136,17 +114,19 @@ let train_with p ~window trace =
     }
   in
   (* Each distinct pair once: its hot columns, next symbol and weight. *)
-  let pairs = Array.of_list (gather_pairs ~window trace) in
-  let n = Array.length pairs in
+  let n = Seq_trie.distinct trie window in
+  let total = float_of_int (Seq_trie.total trie window) in
   let hot = Array.make (n * ctx_len) 0 in
   let nexts = Array.make n 0 in
   let weights = Array.make n 0.0 in
-  Array.iteri
-    (fun q (ctx, next, weight) ->
-      Array.iteri (fun j s -> hot.((q * ctx_len) + j) <- hot_column m j s) ctx;
-      nexts.(q) <- next;
-      weights.(q) <- weight)
-    pairs;
+  let q = ref 0 in
+  Seq_trie.iter_slice trie ~depth:window (fun w c ->
+      for j = 0 to ctx_len - 1 do
+        hot.((!q * ctx_len) + j) <- hot_column m j w.(j)
+      done;
+      nexts.(!q) <- w.(ctx_len);
+      weights.(!q) <- float_of_int c /. total;
+      incr q);
   (* Momentum, gradient and activation buffers, and the loss cell. *)
   let vw1 = Matrix.create ~rows:p.hidden ~cols:input in
   let vb1 = Array.make p.hidden 0.0 in
@@ -163,18 +143,20 @@ let train_with p ~window trace =
   let delta_h = Array.make p.hidden 0.0 in
   let cell = Array.make 1 0.0 in
   let loss = Array.make 1 0.0 in
-  for _epoch = 1 to p.epochs do
+  for epoch = 1 to p.epochs do
     Deadline.checkpoint ();
     Matrix.scale_in_place gw1 0.0;
     Matrix.scale_in_place gw2 0.0;
     Array.fill gb1 0 p.hidden 0.0;
     Array.fill gb2 0 k 0.0;
-    loss.(0) <- 0.0;
+    (* Only the last epoch's loss is reported. *)
+    let last = epoch = p.epochs in
     for q = 0 to n - 1 do
       let pos = q * ctx_len in
       let next = nexts.(q) and weight = weights.(q) in
       forward_into m hot ~pos h probs cell;
-      loss.(0) <- loss.(0) -. (weight *. log (Float.max probs.(next) 1e-300));
+      if last then
+        loss.(0) <- loss.(0) -. (weight *. log (Float.max probs.(next) 1e-300));
       (* Output delta of softmax + cross-entropy: p - onehot(target). *)
       for j = 0 to k - 1 do
         delta_o.(j) <- weight *. (probs.(j) -. if j = next then 1.0 else 0.0)
@@ -201,7 +183,15 @@ let train_with p ~window trace =
   done;
   { m with loss = loss.(0) }
 
+let train_with p ~window trace =
+  assert (window >= 2);
+  if Trace.length trace < window then
+    (* lint: allow partiality — documented precondition *)
+    invalid_arg "Neural.train: trace shorter than window";
+  of_trie_with p (Seq_trie.of_trace ~max_len:window trace) ~window
+
 let train ~window trace = train_with default_params ~window trace
+let train_of_trie = Some (of_trie_with default_params)
 
 let predict m context =
   let ctx_len = m.window - 1 in

@@ -12,15 +12,13 @@ open Seqdiv_stream
 
 include Detector.S
 
-val db : model -> Seq_db.t
-(** The normal database backing a trained model (distinct
-    window-sequences with their training counts). *)
-
-val train_of_db : Seq_db.t -> model
-(** Wrap an existing database as a model — used to share one database
-    between Stide and the L&B detector in ablations. *)
+val trie : model -> Seq_trie.t
+(** The normal database backing a trained model: its [window]-slice
+    holds the distinct window-sequences with their training counts. *)
 
 val of_trie : Seq_trie.t -> window:int -> model
-(** Model viewing the [window]-slice of a shared trie — what
-    {!Detector.S.train_of_trie} exposes to the engine.  Requires
-    [2 <= window <= Seq_trie.max_len trie]. *)
+(** Model viewing the [window]-slice of a trie — what
+    {!Detector.S.train_of_trie} exposes to the engine, and how a
+    multi-session corpus ({!Seqdiv_stream.Seq_trie.of_traces}) or a
+    deserialised database becomes a model.  Requires
+    [1 <= window <= Seq_trie.max_len trie]. *)

@@ -2,10 +2,14 @@ open Seqdiv_stream
 
 let default_threshold = 0.005
 
-type model = { window : int; threshold : float; db : Seq_db.t }
+type model = { window : int; threshold : float; trie : Seq_trie.t }
 
 let name = "tstide"
 let maximal_epsilon = 0.0
+
+let of_trie trie ~window =
+  assert (window >= 2 && window <= Seq_trie.max_len trie);
+  { window; threshold = default_threshold; trie }
 
 let train_with ~threshold ~window trace =
   assert (window >= 2);
@@ -13,22 +17,12 @@ let train_with ~threshold ~window trace =
   if Trace.length trace < window then
     (* lint: allow partiality — documented precondition *)
     invalid_arg "Tstide.train: trace shorter than window";
-  { window; threshold; db = Seq_db.of_trace ~width:window trace }
+  { (of_trie (Seq_trie.of_trace ~max_len:window trace) ~window) with threshold }
 
 let train ~window trace = train_with ~threshold:default_threshold ~window trace
-
-let of_trie trie ~window =
-  assert (window >= 2);
-  {
-    window;
-    threshold = default_threshold;
-    db = Seq_db.of_trie trie ~width:window;
-  }
-
 let train_of_trie = Some of_trie
 let window m = m.window
 let threshold m = m.threshold
-let db m = m.db
 
 let score_range m trace ~lo ~hi =
   let lo, hi =
@@ -42,8 +36,9 @@ let score_range m trace ~lo ~hi =
         if i land 1023 = 0 then Seqdiv_util.Deadline.checkpoint ();
         let start = lo + i in
         let anomalous =
-          (not (Seq_db.mem_at m.db data ~pos:start))
-          || Seq_db.is_rare_at m.db ~threshold:m.threshold data ~pos:start
+          (not (Seq_trie.mem_at m.trie data ~pos:start ~len:m.window))
+          || Seq_trie.is_rare_at m.trie ~threshold:m.threshold data ~pos:start
+               ~len:m.window
         in
         let score = if anomalous then 1.0 else 0.0 in
         { Response.start; cover = m.window; score })
@@ -61,9 +56,8 @@ let score m trace =
    the same division [Seq_trie.is_rare_at] performs (bit-identical
    float expression, [count >= 1] by construction). *)
 let compile_model ?automaton m =
-  let trie = Seq_db.trie m.db in
-  let auto = Detector.obtain_automaton ?automaton trie ~window:m.window in
-  let total = Seq_trie.total trie m.window in
+  let auto = Detector.obtain_automaton ?automaton m.trie ~window:m.window in
+  let total = Seq_trie.total m.trie m.window in
   Some
     (Flat_automaton.make_scorer auto ~score:(fun s ->
          if Flat_automaton.state_depth auto s < m.window then 1.0

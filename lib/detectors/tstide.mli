@@ -28,9 +28,6 @@ val train_with : threshold:float -> window:int -> Trace.t -> model
 val threshold : model -> float
 (** The rarity threshold of a trained model. *)
 
-val db : model -> Seq_db.t
-(** The underlying sequence database. *)
-
 val of_trie : Seq_trie.t -> window:int -> model
 (** Model (at {!default_threshold}) viewing the [window]-slice of a
     shared trie — what {!Detector.S.train_of_trie} exposes to the

@@ -9,8 +9,8 @@ type t
 val make : int -> t
 (** [make n] is an alphabet of [n] symbols named ["s0" .. "s(n-1)"].
     Requires [n >= 1].  Alphabets beyond 256 symbols are fully served by
-    the trie-backed data layer; only the byte-packed {!Trace.key}
-    encoding is then unavailable. *)
+    the trie-backed data layer; only the text model formats
+    ({!Seqdiv_detectors.Model_io}) are limited to symbols 0..255. *)
 
 val of_names : string array -> t
 (** Alphabet whose symbol [i] displays as the [i]-th name.  Names must be

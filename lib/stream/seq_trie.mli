@@ -1,17 +1,18 @@
-(** Counting trie over fixed-alphabet sequences — the shared data layer
-    behind {!Seq_db}, {!Ngram_index} and the sequence detectors' hot
-    paths.
+(** Counting trie over fixed-alphabet sequences — the one store of
+    training windows.  Every detector's model of normal behaviour, the
+    data synthesiser's n-gram index and the text model formats read
+    their windows out of it.
 
-    One single-pass build ({!of_trace}) indexes every n-gram of a trace
-    for every length [1 .. max_len] at once, sharing prefixes
-    structurally; one trie therefore serves all detector-window widths
-    of an experiment grid.  The cursor API ({!mem_at}, {!count_at},
-    {!freq_at}, {!context_at}) descends over raw [int array] slices and
-    allocates nothing — it is the train-once/serve-every-window scoring
-    path.  A string-key API compatible with {!Trace.key} is kept for
-    serialisation, diagnostics and tests; unlike the cursor API it is
-    limited to alphabets of at most 256 symbols (one byte per
-    symbol). *)
+    One single-pass build ({!of_trace}, {!of_traces}) indexes every
+    n-gram of the training data for every length [1 .. max_len] at once,
+    sharing prefixes structurally; one trie therefore serves all
+    detector-window widths of an experiment grid.  The cursor API
+    ({!mem_at}, {!count_at}, {!is_rare_at}, {!context_at}) descends over
+    raw [int array] slices and allocates nothing — it is the
+    train-once/serve-every-window scoring path.  {!iter_slice} visits
+    the distinct sequences of one length in ascending order, which is
+    how detectors gather their training pairs and instances and how
+    models are serialised.  Alphabets of any size are supported. *)
 
 type t
 
@@ -21,30 +22,27 @@ type node
 
 val create : alphabet_size:int -> max_len:int -> t
 (** Empty trie for n-grams of length [1 .. max_len].
-    Requires [alphabet_size >= 1] and [max_len >= 1]; alphabets larger
-    than 256 are fully supported (only the string-key API is then
-    unavailable). *)
+    Requires [alphabet_size >= 1] and [max_len >= 1]. *)
+
+val of_traces : max_len:int -> Trace.t list -> t
+(** Index every n-gram up to [max_len] of every trace, in one
+    O(total length x max_len) pass.  No n-gram spans two traces — the
+    session-boundary rule of multi-trace training (e.g. per-process
+    system-call traces).  The alphabet is the largest of the traces'
+    alphabets. *)
 
 val of_trace : max_len:int -> Trace.t -> t
-(** Index every n-gram of the trace up to [max_len], in one
-    O(length x max_len) pass. *)
+(** [of_traces ~max_len [trace]]. *)
 
 val max_len : t -> int
 val alphabet_size : t -> int
 
-val add : t -> int array -> unit
-(** Record one occurrence of a sequence and of each of its prefixes.
-    The sequence length must be within [1 .. max_len]; symbols must be
-    within the alphabet. *)
-
-val add_at : t -> int array -> pos:int -> len:int -> unit
-(** Incremental {!add} of the slice [a.(pos) .. a.(pos + len - 1)]
-    without copying it out.  Requires the slice in bounds and
-    [1 <= len <= max_len]. *)
-
 val add_many_at : t -> int array -> pos:int -> len:int -> count:int -> unit
-(** {!add_at} with multiplicity (used when deserialising counted
-    models).  Requires [count > 0]. *)
+(** Record [count] occurrences of the slice [a.(pos) .. a.(pos + len -
+    1)] and of each of its prefixes, without copying it out (used when
+    deserialising counted models).  Requires the slice in bounds,
+    [1 <= len <= max_len], [count > 0] and symbols within the
+    alphabet. *)
 
 (** {1 Cursor API — allocation-free lookups over raw slices} *)
 
@@ -56,10 +54,6 @@ val mem_at : t -> int array -> pos:int -> len:int -> bool
 
 val count_at : t -> int array -> pos:int -> len:int -> int
 (** Occurrences of the slice; 0 when absent. *)
-
-val freq_at : t -> int array -> pos:int -> len:int -> float
-(** Relative frequency among same-length windows; 0 when no window of
-    that length was recorded. *)
 
 val is_rare_at : t -> threshold:float -> int array -> pos:int -> len:int -> bool
 (** Present with relative frequency strictly below the threshold. *)
@@ -90,23 +84,11 @@ val continuation_count : t -> node -> int -> int
 (** Occurrences of [context . symbol] — the numerator of
     [P(symbol | context)].  Requires a valid alphabet symbol. *)
 
-(** {1 String-key API (alphabets up to 256 symbols)} *)
-
-val count : t -> string -> int
-(** Occurrences of a window key (see {!Trace.key}); 0 when absent.
-    Requires [1 <= length <= max_len]. *)
-
-val mem : t -> string -> bool
-val is_foreign : t -> string -> bool
+(** {1 Per-length totals} *)
 
 val total : t -> int -> int
-(** Total windows recorded at a length (with multiplicity). *)
-
-val freq : t -> string -> float
-(** Relative frequency among same-length windows. *)
-
-val is_rare : t -> threshold:float -> string -> bool
-(** Present with relative frequency strictly below the threshold. *)
+(** Total windows recorded at a length (with multiplicity).  A
+    sequence's relative frequency is its count over this total. *)
 
 val distinct : t -> int -> int
 (** Number of distinct sequences of a length. *)
@@ -119,7 +101,7 @@ val node_count : t -> int
 
 val iter_slice : t -> depth:int -> (int array -> int -> unit) -> unit
 (** Visit every distinct sequence of one length with its count, in
-    ascending lexicographic (string-key) order.  The symbol buffer
+    ascending lexicographic order.  The symbol buffer
     passed to the callback is reused between calls — copy it if it
     escapes.  Requires [1 <= depth <= max_len]. *)
 

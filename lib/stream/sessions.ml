@@ -23,8 +23,6 @@ let traces t = t.traces
 let window_count t ~width =
   List.fold_left (fun acc tr -> acc + Trace.window_count tr ~width) 0 t.traces
 
-let seq_db t ~width = Seq_db.of_traces ~width t.traces
-
 let split trace ~session_length =
   assert (session_length >= 2);
   let n = Trace.length trace in

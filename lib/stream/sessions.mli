@@ -6,7 +6,8 @@
     and so on.  The cardinal rule is that a detector window must never
     span a session boundary: the last calls of one process and the
     first calls of the next are not a behavioural sequence.  This
-    module packages that rule. *)
+    module packages that rule; {!Seq_trie.of_traces} builds a training
+    index over the sessions that respects it. *)
 
 open Seqdiv_util
 
@@ -30,9 +31,6 @@ val window_count : t -> width:int -> int
 (** Total windows across sessions — strictly less than the window count
     of the concatenation whenever there are ≥ 2 sessions (boundary
     windows are excluded by construction). *)
-
-val seq_db : t -> width:int -> Seq_db.t
-(** Sequence database over the corpus, session boundaries respected. *)
 
 val split : Trace.t -> session_length:int -> t
 (** Cut one long trace into consecutive sessions of the given length

@@ -56,18 +56,6 @@ let window_count t ~width =
   assert (width > 0);
   Stdlib.max 0 (length t - width + 1)
 
-let key t ~pos ~len =
-  assert (len > 0 && pos >= 0 && pos + len <= length t);
-  String.init len (fun i -> Char.chr t.data.(pos + i))
-
-let key_of_symbols a =
-  assert (Array.length a > 0);
-  String.init (Array.length a) (fun i ->
-      assert (a.(i) >= 0 && a.(i) < 256);
-      Char.chr a.(i))
-
-let symbols_of_key k = Array.init (String.length k) (fun i -> Char.code k.[i])
-
 let pp ppf t =
   let n = length t in
   let shown = Stdlib.min n 32 in

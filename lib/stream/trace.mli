@@ -27,8 +27,8 @@ val to_array : t -> int array
 
 val raw : t -> int array
 (** The underlying symbol array itself — the zero-copy window accessor
-    of the scoring hot paths, where {!key}'s per-window string would
-    dominate the allocation profile.  The array is {e borrowed}: the
+    of the scoring hot paths: windows are read as slices of it, never
+    copied out.  The array is {e borrowed}: the
     caller must never mutate it (traces are immutable; writing through
     this view would corrupt every structure sharing the trace). *)
 
@@ -52,21 +52,6 @@ val iter_windows : t -> width:int -> (int -> unit) -> unit
 
 val window_count : t -> width:int -> int
 (** Number of [width]-windows: [max 0 (length - width + 1)]. *)
-
-val key : t -> pos:int -> len:int -> string
-(** Compact byte-string encoding of a window, suitable as a hash key.
-    Two windows have equal keys iff they contain the same symbols in the
-    same order.  Requires the range to be in bounds, [len > 0], and
-    every symbol in the window below 256 (one byte per symbol) — the
-    trie cursor API has no such ceiling.  @raise Invalid_argument on a
-    symbol 256 or larger. *)
-
-val key_of_symbols : int array -> string
-(** {!key} for a free-standing symbol array (used when testing candidate
-    anomalies that are not yet part of any trace). *)
-
-val symbols_of_key : string -> int array
-(** Inverse of {!key_of_symbols}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints symbol names separated by spaces; long traces are elided. *)

@@ -153,7 +153,7 @@ let load ~dir =
       let max_len =
         Stdlib.max params.Suite.dw_max (params.Suite.as_max + 1)
       in
-      let index = Ngram_index.build ~max_len training in
+      let index = Seq_trie.of_trace ~max_len training in
       let streams =
         List.map (parse_stream_line dir) stream_lines |> Array.of_list
       in

@@ -25,7 +25,7 @@ let clean_boundaries index trace ~position ~size ~width =
   for s = first to last do
     let contains_whole = s <= position && s + width >= position + size in
     if (not contains_whole) && !clean then
-      if Ngram_index.is_foreign_at index data ~pos:s ~len:width then
+      if not (Seq_trie.mem_at index data ~pos:s ~len:width) then
         clean := false
   done;
   !clean

@@ -36,14 +36,14 @@ val no_clean_injection : ('a, Format.formatter, unit, 'b) format4 -> 'a
     formatted message. *)
 
 val clean_boundaries :
-  Ngram_index.t -> Trace.t -> position:int -> size:int -> width:int -> bool
+  Seq_trie.t -> Trace.t -> position:int -> size:int -> width:int -> bool
 (** [clean_boundaries index trace ~position ~size ~width] checks that
     every [width]-window of [trace] that intersects the anomaly
     occupying [\[position, position+size-1\]] — except windows containing
     the whole anomaly — occurs in the training data behind [index]. *)
 
 val inject :
-  Ngram_index.t -> background:Trace.t -> anomaly:int array -> width:int ->
+  Seq_trie.t -> background:Trace.t -> anomaly:int array -> width:int ->
   injection option
 (** Inject the anomaly near the middle of the background, phase-aligned,
     and verify boundary cleanliness at the given detector-window width.
@@ -53,7 +53,7 @@ val inject :
     Array.length anomaly + 2]. *)
 
 val inject_first :
-  Ngram_index.t -> background:Trace.t -> candidates:int array list ->
+  Seq_trie.t -> background:Trace.t -> candidates:int array list ->
   width:int -> injection option
 (** Try candidate anomalies in order and return the first clean
     injection. *)

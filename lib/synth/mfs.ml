@@ -10,20 +10,18 @@ let verify index candidate =
   let n = Array.length candidate in
   if n < 2 then Too_short
   else begin
-    let key = Trace.key_of_symbols candidate in
-    let full_count = Ngram_index.count index key in
+    let full_count = Seq_trie.count_at index candidate ~pos:0 ~len:n in
     if full_count > 0 then Not_foreign full_count
     else begin
-      (* Checking every contiguous proper sub-sequence directly; the two
-         (n-1)-windows would suffice, but the exhaustive check documents
-         the invariant and is what the tests rely on. *)
+      (* Checking every contiguous proper sub-sequence directly, single
+         symbols included; the two (n-1)-windows would suffice, but the
+         exhaustive check documents the invariant and is what the tests
+         rely on. *)
       let missing = ref None in
-      for len = n - 1 downto 2 do
+      for len = n - 1 downto 1 do
         for pos = 0 to n - len do
-          if !missing = None then begin
-            let sub = String.sub key pos len in
-            if Ngram_index.is_foreign index sub then missing := Some (pos, len)
-          end
+          if !missing = None && not (Seq_trie.mem_at index candidate ~pos ~len)
+          then missing := Some (pos, len)
         done
       done;
       match !missing with
@@ -36,8 +34,8 @@ let rare_twogram_count index ~threshold candidate =
   let n = Array.length candidate in
   let count = ref 0 in
   for i = 0 to n - 2 do
-    let k = Trace.key_of_symbols [| candidate.(i); candidate.(i + 1) |] in
-    if Ngram_index.is_rare index ~threshold k then incr count
+    if Seq_trie.is_rare_at index ~threshold candidate ~pos:i ~len:2 then
+      incr count
   done;
   !count
 
@@ -46,34 +44,33 @@ let candidates_size2 index alphabet =
   let out = ref [] in
   for a = k - 1 downto 0 do
     for b = k - 1 downto 0 do
-      let key = Trace.key_of_symbols [| a; b |] in
-      let a1 = Trace.key_of_symbols [| a |]
-      and b1 = Trace.key_of_symbols [| b |] in
+      let c = [| a; b |] in
       if
-        Ngram_index.is_foreign index key
-        && Ngram_index.mem index a1
-        && Ngram_index.mem index b1
-      then out := [| a; b |] :: !out
+        (not (Seq_trie.mem_at index c ~pos:0 ~len:2))
+        && Seq_trie.mem_at index c ~pos:0 ~len:1
+        && Seq_trie.mem_at index c ~pos:1 ~len:1
+      then out := c :: !out
     done
   done;
   !out
 
 let candidates_larger index alphabet ~size =
   let k = Alphabet.size alphabet in
-  let prefix_db = Ngram_index.db index (size - 1) in
+  let full = Array.make size 0 in
   let out = ref [] in
-  Seq_db.iter prefix_db (fun prefix_key _count ->
+  Seq_trie.iter_slice index ~depth:(size - 1) (fun prefix _count ->
+      Array.blit prefix 0 full 0 (size - 1);
       for c = 0 to k - 1 do
-        let full = prefix_key ^ String.make 1 (Char.chr c) in
+        full.(size - 1) <- c;
         if
-          Ngram_index.is_foreign index full
-          && Ngram_index.mem index (String.sub full 1 (size - 1))
-        then out := Trace.symbols_of_key full :: !out
+          (not (Seq_trie.mem_at index full ~pos:0 ~len:size))
+          && Seq_trie.mem_at index full ~pos:1 ~len:(size - 1)
+        then out := Array.copy full :: !out
       done);
   !out
 
 let candidates index alphabet ~size ~rare_threshold =
-  assert (size >= 2 && size <= Ngram_index.max_len index);
+  assert (size >= 2 && size <= Seq_trie.max_len index);
   let raw =
     if size = 2 then candidates_size2 index alphabet
     else candidates_larger index alphabet ~size

@@ -18,16 +18,16 @@ type verdict =
           missing sub-sequence *)
   | Too_short  (** length < 2 *)
 
-val verify : Ngram_index.t -> int array -> verdict
+val verify : Seq_trie.t -> int array -> verdict
 (** Full minimality/foreignness check of a candidate against a training
     index.  The candidate length must not exceed the index depth. *)
 
-val rare_twogram_count : Ngram_index.t -> threshold:float -> int array -> int
+val rare_twogram_count : Seq_trie.t -> threshold:float -> int array -> int
 (** Number of 2-grams of the candidate that are rare in the training
     data at the given threshold. *)
 
 val candidates :
-  Ngram_index.t -> Alphabet.t -> size:int -> rare_threshold:float ->
+  Seq_trie.t -> Alphabet.t -> size:int -> rare_threshold:float ->
   int array list
 (** All minimal foreign sequences of the given size that can be built
     from the training data, ordered with the most rare-composed first
@@ -44,10 +44,10 @@ val candidates :
     the cycle, so in practice all returned candidates are
     rare-composed).
 
-    Requires [2 <= size <= Ngram_index.max_len index]. *)
+    Requires [2 <= size <= Seq_trie.max_len index]. *)
 
 val find :
-  Ngram_index.t -> Alphabet.t -> size:int -> rare_threshold:float ->
+  Seq_trie.t -> Alphabet.t -> size:int -> rare_threshold:float ->
   (int array, string) result
 (** First candidate from {!candidates}, or a descriptive error when none
     exists (e.g. the training stream is too short for sub-sequences to be

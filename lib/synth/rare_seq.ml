@@ -1,16 +1,13 @@
 open Seqdiv_stream
 
 let candidates index ~size ~rare_threshold =
-  assert (size >= 2 && size <= Ngram_index.max_len index);
-  let db = Ngram_index.db index size in
-  let rare =
-    Seq_db.fold db ~init:[] ~f:(fun acc key _count ->
-        if Seq_db.is_rare db ~threshold:rare_threshold key then
-          (Seq_db.freq db key, key) :: acc
-        else acc)
-  in
-  List.sort compare rare
-  |> List.map (fun (_freq, key) -> Trace.symbols_of_key key)
+  assert (size >= 2 && size <= Seq_trie.max_len index);
+  let total = float_of_int (Seq_trie.total index size) in
+  let rare = ref [] in
+  Seq_trie.iter_slice index ~depth:size (fun w count ->
+      let freq = float_of_int count /. total in
+      if freq < rare_threshold then rare := (freq, Array.copy w) :: !rare);
+  List.sort compare !rare |> List.map snd
 
 let find index ~size ~rare_threshold =
   match candidates index ~size ~rare_threshold with

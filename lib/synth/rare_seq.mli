@@ -13,13 +13,13 @@
 open Seqdiv_stream
 
 val candidates :
-  Ngram_index.t -> size:int -> rare_threshold:float -> int array list
+  Seq_trie.t -> size:int -> rare_threshold:float -> int array list
 (** Distinct training sequences of the given size that are rare at the
     threshold, rarest first (ties broken lexicographically).  Requires
-    [2 <= size <= max_len] of the index. *)
+    [2 <= size <= Seq_trie.max_len index]. *)
 
 val find :
-  Ngram_index.t -> size:int -> rare_threshold:float ->
+  Seq_trie.t -> size:int -> rare_threshold:float ->
   (int array, string) result
 (** First candidate, or a descriptive error when the training data has
     no rare sequence of that size. *)

@@ -46,7 +46,7 @@ type t = {
   alphabet : Alphabet.t;
   chain : Markov_chain.t;
   training : Trace.t;
-  index : Ngram_index.t;
+  index : Seq_trie.t;
   streams : test_stream array;
 }
 
@@ -77,10 +77,10 @@ let build p =
       m "training stream: %d elements, cycle fraction %.4f" p.train_len
         (Generator.cycle_fraction training));
   let max_len = Stdlib.max p.dw_max (p.as_max + 1) in
-  let index = Ngram_index.build ~max_len training in
+  let index = Seq_trie.of_trace ~max_len training in
   Log.debug (fun m ->
       m "n-gram index built to depth %d (%d distinct 2-grams)" max_len
-        (Seq_db.cardinal (Ngram_index.db index 2)));
+        (Seq_trie.distinct index 2));
   let background = Generator.background alphabet ~len:p.background_len ~phase:0 in
   let n_as = p.as_max - p.as_min + 1 in
   let n_dw = p.dw_max - p.dw_min + 1 in

@@ -37,7 +37,7 @@ type t = {
   alphabet : Alphabet.t;
   chain : Markov_chain.t;
   training : Trace.t;
-  index : Ngram_index.t;  (** n-grams of the training stream *)
+  index : Seq_trie.t;  (** n-grams of the training stream *)
   streams : test_stream array;  (** row-major over (AS, DW) *)
 }
 

@@ -137,6 +137,21 @@ for budget in 0.01 0.05; do
 done
 echo "paper smoke test: OK"
 
+# Example programs: `dune build @all` compiles them, this runs them.
+# Each must exit 0 and print no failed self-check: artifact_workflow
+# answers its checks with "yes" or "NO" and exits 0 either way.
+for e in ./_build/default/examples/*.exe; do
+  name=$(basename "$e" .exe)
+  TMPDIR="$tmp" "$e" > "$tmp/example.out" 2>&1 || {
+    cat "$tmp/example.out"; echo "example $name failed" >&2; exit 1; }
+  if grep -q ': NO' "$tmp/example.out"; then
+    cat "$tmp/example.out"
+    echo "example $name: a self-check printed NO" >&2
+    exit 1
+  fi
+done
+echo "examples: OK"
+
 # Flat-model smoke test: train + save a text model, compile it to the
 # mmap-ready flat binary, then score a trace through both — the text
 # model's own trie descent and the mmap-loaded automaton.  `model

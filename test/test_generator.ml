@@ -23,12 +23,12 @@ let test_background_contains_no_anomalies () =
      Section 5.4.1. *)
   let chain = training_chain () in
   let training = Generator.training chain (Prng.create ~seed:2) ~len:30_000 in
-  let index = Ngram_index.build ~max_len:15 training in
+  let index = Seq_trie.of_trace ~max_len:15 training in
   let bg = Generator.background alphabet8 ~len:500 ~phase:0 in
   List.iter
     (fun width ->
       Trace.iter_windows bg ~width (fun pos ->
-          if Ngram_index.is_foreign index (Trace.key bg ~pos ~len:width) then
+          if not (Seq_trie.mem_at index (Trace.raw bg) ~pos ~len:width) then
             Alcotest.fail
               (Printf.sprintf "foreign background window at %d width %d" pos
                  width)))

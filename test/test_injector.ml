@@ -145,8 +145,9 @@ let prop_windows_outside_span_common =
           in
           if not contains_whole then
             if
-              Ngram_index.is_foreign suite.Suite.index
-                (Trace.key trace ~pos ~len:window)
+              not
+                (Seq_trie.mem_at suite.Suite.index (Trace.raw trace) ~pos
+                   ~len:window)
             then ok := false);
       !ok)
 

@@ -237,8 +237,7 @@ let test_rare_threshold_ablation () =
     (fun (p : Ablation.rare_point) ->
       Alcotest.(check int) "2-gram partition"
         (p.Ablation.rare_twograms + p.Ablation.common_twograms)
-        (Seqdiv_stream.Seq_db.cardinal
-           (Seqdiv_stream.Ngram_index.db suite.Suite.index 2)))
+        (Seqdiv_stream.Seq_trie.distinct suite.Suite.index 2))
     points
 
 let () =

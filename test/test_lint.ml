@@ -348,7 +348,7 @@ let test_r13_exempts_wal () =
 let r7_bad_ml =
   "let score_range m trace lo hi =\n\
   \  let key = Trace.key trace ~pos:lo ~len:hi in\n\
-  \  Seq_db.mem m key\n\
+  \  Seq_trie.mem m key\n\
    let score m trace = score_range m trace 0 0\n"
 
 let r7_mli = "val score_range : 'a -> 'b -> int -> int -> bool\nval score : 'a -> 'b -> bool\n"
@@ -396,7 +396,7 @@ let test_r7_whitelist () =
   let src =
     "let score m k =\n\
     \  (* lint: allow hot-path — diagnostic slow path *)\n\
-    \  Seq_db.count m k\n"
+    \  Seq_trie.count m k\n"
   in
   let diags =
     run_on
@@ -418,7 +418,7 @@ let test_r7_hashtbl () =
 
 (* The cursor API is exactly what score paths should use. *)
 let test_r7_cursor_clean () =
-  let src = "let score_range m a pos = Seq_db.mem_at m a ~pos\n" in
+  let src = "let score_range m a pos = Seq_trie.mem_at m a ~pos\n" in
   let diags =
     run_on
       [ file "lib/detectors/cur.ml" src;

@@ -111,7 +111,54 @@ let prop_candidates_are_foreign =
       let index, alphabet, rare = small_index () in
       Mfs.candidates index alphabet ~size ~rare_threshold:rare
       |> List.for_all (fun c ->
-             Ngram_index.is_foreign index (Trace.key_of_symbols c)))
+             not (Seq_trie.mem_at index c ~pos:0 ~len:(Array.length c))))
+
+(* A candidate holding a symbol the training data never contains is not
+   minimal: its single-symbol sub-sequence is foreign. *)
+let test_verify_absent_symbol () =
+  let index = Seq_trie.of_trace ~max_len:4 (trace8 [ 0; 1; 2; 0; 1; 2; 3; 0; 1 ]) in
+  match Mfs.verify index [| 7; 0 |] with
+  | Mfs.Sub_foreign (pos, len) ->
+      Alcotest.(check int) "position" 0 pos;
+      Alcotest.(check int) "length" 1 len
+  | _ -> Alcotest.fail "expected Sub_foreign"
+
+(* Brute-force reference: the candidate never occurs, and every proper
+   contiguous sub-sequence, single symbols included, does.  Candidates
+   may use symbol 4, which the training traces never contain. *)
+let brute_minimal_foreign trace candidate =
+  let occurs sub =
+    let n = Trace.length trace and m = Array.length sub in
+    let rec at pos =
+      if pos + m > n then false
+      else if Array.sub (Trace.raw trace) pos m = sub then true
+      else at (pos + 1)
+    in
+    at 0
+  in
+  let n = Array.length candidate in
+  n >= 2
+  && (not (occurs candidate))
+  && (let ok = ref true in
+      for len = 1 to n - 1 do
+        for pos = 0 to n - len do
+          if not (occurs (Array.sub candidate pos len)) then ok := false
+        done
+      done;
+      !ok)
+
+let prop_verify_matches_brute_force =
+  qcheck ~count:300 "verify matches brute force"
+    QCheck.(
+      pair
+        (list_of_size Gen.(8 -- 40) (int_bound 3))
+        (list_of_size Gen.(2 -- 4) (int_bound 4)))
+    (fun (trace_syms, cand) ->
+      let trace = trace8 trace_syms in
+      let index = Seq_trie.of_trace ~max_len:5 trace in
+      let candidate = Array.of_list cand in
+      (Mfs.verify index candidate = Mfs.Ok_minimal_foreign)
+      = brute_minimal_foreign trace candidate)
 
 let () =
   Alcotest.run "mfs"
@@ -129,5 +176,8 @@ let () =
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "rare 2-gram count" `Quick test_rare_twogram_count;
           prop_candidates_are_foreign;
+          Alcotest.test_case "absent symbol is sub-foreign" `Quick
+            test_verify_absent_symbol;
+          prop_verify_matches_brute_force;
         ] );
     ]

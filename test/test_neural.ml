@@ -176,13 +176,15 @@ let model_digest suite ~window =
   in
   let contexts = Hashtbl.create 64 in
   Trace.iter_windows training ~width:(window - 1) (fun pos ->
-      Hashtbl.replace contexts (Trace.key training ~pos ~len:(window - 1)) ());
-  Hashtbl.fold (fun key () acc -> key :: acc) contexts []
+      Hashtbl.replace contexts
+        (Array.sub (Trace.raw training) pos (window - 1))
+        ());
+  Hashtbl.fold (fun context () acc -> context :: acc) contexts []
   |> List.sort compare
-  |> List.iter (fun key ->
+  |> List.iter (fun context ->
          Array.iter
            (fun p -> h := fold_float !h p)
-           (Neural.predict model (Trace.symbols_of_key key)));
+           (Neural.predict model context));
   Array.iter
     (fun (s : Seqdiv_synth.Suite.test_stream) ->
       if s.Seqdiv_synth.Suite.window = window then begin

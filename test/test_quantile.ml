@@ -242,6 +242,22 @@ let prop_merge_commutative (xs, ys) =
   List.iter (Quantile.observe b) ys;
   Quantile.equal (Quantile.merge a b) (Quantile.merge b a)
 
+(* A fixed pair that failed commutativity while merge took only the
+   left one of two identical tuples: streams drawn from seed 7502, with
+   many repeated values. *)
+let test_merge_commutative_regression () =
+  let rng = Prng.create ~seed:7502 in
+  let stream () =
+    Array.to_list
+      (Array.init
+         (1 + Prng.int rng 400)
+         (fun _ -> float_of_int ((Prng.int rng 1001 - 500) / 7)))
+  in
+  let xs = stream () in
+  let ys = stream () in
+  Alcotest.(check bool) "merge a b = merge b a" true
+    (prop_merge_commutative (xs, ys))
+
 let test_merge_bound () =
   (* Halves summarised at ε/2 merge into an ε summary whose widened
      bound must hold against the exact sorted concatenation. *)
@@ -413,6 +429,8 @@ let () =
           qcheck ~count:200 "commutative (bit level)"
             QCheck.(pair scores_arb scores_arb)
             prop_merge_commutative;
+          Alcotest.test_case "commutative on seed 7502" `Quick
+            test_merge_commutative_regression;
           Alcotest.test_case "halved-eps merge bound" `Quick test_merge_bound;
           Alcotest.test_case "fold-order bound" `Quick test_merge_order_bound;
         ] );

@@ -18,10 +18,11 @@ let test_candidates_are_rare_and_present () =
         true (candidates <> []);
       List.iter
         (fun c ->
-          let key = Trace.key_of_symbols c in
-          Alcotest.(check bool) "present" true (Ngram_index.mem index key);
+          let len = Array.length c in
+          Alcotest.(check bool) "present" true
+            (Seq_trie.mem_at index c ~pos:0 ~len);
           Alcotest.(check bool) "rare" true
-            (Ngram_index.is_rare index ~threshold key))
+            (Seq_trie.is_rare_at index ~threshold c ~pos:0 ~len))
         candidates)
     [ 2; 5; 9 ]
 
@@ -33,7 +34,12 @@ let test_candidates_sorted_rarest_first () =
       ~rare_threshold:suite.Suite.params.Suite.rare_threshold
   in
   let freqs =
-    List.map (fun c -> Ngram_index.freq index (Trace.key_of_symbols c)) candidates
+    List.map
+      (fun c ->
+        let len = Array.length c in
+        float_of_int (Seq_trie.count_at index c ~pos:0 ~len)
+        /. float_of_int (Seq_trie.total index len))
+      candidates
   in
   let rec non_decreasing = function
     | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
@@ -49,7 +55,7 @@ let test_find_error_when_no_rare_content () =
   let training =
     Generator.training chain (Seqdiv_util.Prng.create ~seed:1) ~len:2_000
   in
-  let index = Ngram_index.build ~max_len:6 training in
+  let index = Seq_trie.of_trace ~max_len:6 training in
   match Rare_seq.find index ~size:4 ~rare_threshold:0.005 with
   | Ok _ -> Alcotest.fail "expected no rare sequences"
   | Error message ->

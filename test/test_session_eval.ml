@@ -29,8 +29,9 @@ let test_anomalous_sessions_contain_foreign_content () =
       let found = ref false in
       Trace.iter_windows session ~width:6 (fun pos ->
           if
-            Seqdiv_stream.Ngram_index.is_foreign suite.Suite.index
-              (Trace.key session ~pos ~len:6)
+            not
+              (Seqdiv_stream.Seq_trie.mem_at suite.Suite.index
+                 (Trace.raw session) ~pos ~len:6)
           then found := true);
       Alcotest.(check bool) "has foreign window" true !found)
     (Sessions.traces anomalous)
@@ -41,8 +42,9 @@ let test_normal_sessions_contain_no_foreign_content () =
     (fun session ->
       Trace.iter_windows session ~width:2 (fun pos ->
           if
-            Seqdiv_stream.Ngram_index.is_foreign suite.Suite.index
-              (Trace.key session ~pos ~len:2)
+            not
+              (Seqdiv_stream.Seq_trie.mem_at suite.Suite.index
+                 (Trace.raw session) ~pos ~len:2)
           then Alcotest.fail "normal session has a foreign 2-gram"))
     (Sessions.traces normal)
 

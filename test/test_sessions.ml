@@ -25,20 +25,18 @@ let test_of_traces_alphabet_mismatch () =
 let test_windows_do_not_span_boundaries () =
   (* Two sessions [0;1] and [2;3]: the 2-gram (1,2) must NOT appear. *)
   let s = sessions_of [ [ 0; 1 ]; [ 2; 3 ] ] in
-  let db = Sessions.seq_db s ~width:2 in
-  Alcotest.(check bool) "01 present" true
-    (Seq_db.mem db (Trace.key_of_symbols [| 0; 1 |]));
-  Alcotest.(check bool) "23 present" true
-    (Seq_db.mem db (Trace.key_of_symbols [| 2; 3 |]));
-  Alcotest.(check bool) "boundary 12 absent" false
-    (Seq_db.mem db (Trace.key_of_symbols [| 1; 2 |]))
+  let db = Seq_trie.of_traces ~max_len:2 (Sessions.traces s) in
+  let mem w = Seq_trie.mem_at db w ~pos:0 ~len:2 in
+  Alcotest.(check bool) "01 present" true (mem [| 0; 1 |]);
+  Alcotest.(check bool) "23 present" true (mem [| 2; 3 |]);
+  Alcotest.(check bool) "boundary 12 absent" false (mem [| 1; 2 |])
 
 let test_window_count_excludes_boundaries () =
   let s = sessions_of [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ] in
   (* Each session has 2 two-windows; the concatenation would have 5. *)
   Alcotest.(check int) "per-session windows" 4 (Sessions.window_count s ~width:2);
-  let db = Sessions.seq_db s ~width:2 in
-  Alcotest.(check int) "db total matches" 4 (Seq_db.total db)
+  let db = Seq_trie.of_traces ~max_len:2 (Sessions.traces s) in
+  Alcotest.(check int) "db total matches" 4 (Seq_trie.total db 2)
 
 let test_short_sessions_yield_no_windows () =
   let s = sessions_of [ [ 0 ]; [ 1; 2; 3 ] ] in
@@ -78,11 +76,11 @@ let test_generate () =
   Alcotest.(check int) "250 elements" 250 (Sessions.total_length s)
 
 let test_stide_trained_on_sessions () =
-  (* Stide trained via Seq_db.of_traces flags a cross-boundary window as
-     foreign even when both halves are familiar. *)
+  (* Stide trained via Seq_trie.of_traces flags a cross-boundary window
+     as foreign even when both halves are familiar. *)
   let sessions = sessions_of [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ] ] in
-  let db = Sessions.seq_db sessions ~width:2 in
-  let stide = Seqdiv_detectors.Stide.train_of_db db in
+  let db = Seq_trie.of_traces ~max_len:2 (Sessions.traces sessions) in
+  let stide = Seqdiv_detectors.Stide.of_trie db ~window:2 in
   let r = Seqdiv_detectors.Stide.score stide (trace8 [ 3; 4 ]) in
   Alcotest.(check (float 0.0)) "cross-boundary window foreign" 1.0
     (Seqdiv_detectors.Response.max_score r)

@@ -4,8 +4,8 @@ open Seqdiv_test_support
 
 let test_train_builds_db () =
   let model = Stide.train ~window:2 (trace8 [ 0; 1; 2; 0; 1 ]) in
-  let db = Stide.db model in
-  Alcotest.(check int) "distinct windows" 3 (Seq_db.cardinal db);
+  Alcotest.(check int) "distinct windows" 3
+    (Seq_trie.distinct (Stide.trie model) 2);
   Alcotest.(check int) "window recorded" 2 (Stide.window model)
 
 let test_score_membership () =
@@ -48,10 +48,12 @@ let test_train_rejects_short_trace () =
     (Invalid_argument "Stide.train: trace shorter than window") (fun () ->
       ignore (Stide.train ~window:5 (trace8 [ 0; 1 ])))
 
-let test_train_of_db () =
-  let db = Seq_db.of_trace ~width:3 (trace8 [ 0; 1; 2; 3 ]) in
-  let model = Stide.train_of_db db in
-  Alcotest.(check int) "window from db" 3 (Stide.window model)
+let test_of_trie () =
+  (* A deeper trie serves a shallower window. *)
+  let trie = Seq_trie.of_trace ~max_len:4 (trace8 [ 0; 1; 2; 3 ]) in
+  let model = Stide.of_trie trie ~window:3 in
+  Alcotest.(check int) "window" 3 (Stide.window model);
+  Alcotest.(check bool) "same trie" true (Stide.trie model == trie)
 
 let test_detects_iff_window_spans_anomaly () =
   let suite = small_suite () in
@@ -93,12 +95,17 @@ let prop_membership_definition =
       QCheck.assume (List.length test_l >= window);
       let train = trace8 train_l and test = trace8 test_l in
       let model = Stide.train ~window train in
-      let db = Seq_db.of_trace ~width:window train in
+      let occurs pos =
+        let w = Array.sub (Trace.raw test) pos window in
+        let found = ref false in
+        Trace.iter_windows train ~width:window (fun p ->
+            if Array.sub (Trace.raw train) p window = w then found := true);
+        !found
+      in
       let r = Stide.score model test in
       Array.for_all
         (fun (i : Response.item) ->
-          let key = Trace.key test ~pos:i.Response.start ~len:window in
-          i.Response.score = (if Seq_db.mem db key then 0.0 else 1.0))
+          i.Response.score = if occurs i.Response.start then 0.0 else 1.0)
         r.Response.items)
 
 let () =
@@ -112,7 +119,7 @@ let () =
           Alcotest.test_case "cover = window" `Quick test_cover_equals_window;
           Alcotest.test_case "score_range clamps" `Quick test_score_range_clamps;
           Alcotest.test_case "rejects short trace" `Quick test_train_rejects_short_trace;
-          Alcotest.test_case "train_of_db" `Quick test_train_of_db;
+          Alcotest.test_case "of_trie" `Quick test_of_trie;
           Alcotest.test_case "diagonal detection law" `Quick
             test_detects_iff_window_spans_anomaly;
           Alcotest.test_case "no FAs on training data" `Quick

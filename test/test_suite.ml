@@ -107,7 +107,7 @@ let test_build_failure_is_descriptive () =
 let test_index_depth () =
   let suite = small_suite () in
   Alcotest.(check bool) "index covers windows and anomalies" true
-    (Seqdiv_stream.Ngram_index.max_len suite.Suite.index >= 15)
+    (Seqdiv_stream.Seq_trie.max_len suite.Suite.index >= 15)
 
 let test_scale_invariance () =
   (* The qualitative structure does not depend on the training length:

@@ -69,8 +69,8 @@ let test_stide_on_parsed_sessions () =
       (List.init 50 (fun i -> Printf.sprintf "%d 4\n%d 2\n%d 7\n" i i i))
   in
   let sessions, _ = Syscall_trace.parse text in
-  let db = Sessions.seq_db sessions ~width:2 in
-  let stide = Seqdiv_detectors.Stide.train_of_db db in
+  let db = Seq_trie.of_traces ~max_len:2 (Sessions.traces sessions) in
+  let stide = Seqdiv_detectors.Stide.of_trie db ~window:2 in
   let alphabet = Sessions.alphabet sessions in
   (* symbols: 4->0, 2->1, 7->2; the pair (2, 4) i.e. symbols (1, 0) never
      occurs inside a session *)

@@ -62,19 +62,6 @@ let test_window_count () =
   Alcotest.(check int) "count" 3 (Trace.window_count t ~width:2);
   Alcotest.(check int) "oversized" 0 (Trace.window_count t ~width:9)
 
-let test_key_equality () =
-  let t = trace8 [ 0; 1; 2; 0; 1; 2 ] in
-  Alcotest.(check string) "same content same key"
-    (Trace.key t ~pos:0 ~len:3)
-    (Trace.key t ~pos:3 ~len:3);
-  Alcotest.(check bool) "different content different key" false
-    (Trace.key t ~pos:0 ~len:2 = Trace.key t ~pos:1 ~len:2)
-
-let test_key_round_trip () =
-  let symbols = [| 4; 0; 7; 7; 2 |] in
-  Alcotest.(check (array int)) "round trip" symbols
-    (Trace.symbols_of_key (Trace.key_of_symbols symbols))
-
 let test_pp_elides () =
   let t = Trace.of_array alphabet8 (Array.make 100 0) in
   let s = Format.asprintf "%a" Trace.pp t in
@@ -90,11 +77,6 @@ let test_pp_elides () =
 
 let symbols_gen = QCheck.(list_of_size Gen.(1 -- 30) (int_bound 7))
 
-let prop_key_round_trip =
-  qcheck "key round trip" symbols_gen (fun l ->
-      let a = Array.of_list l in
-      Trace.symbols_of_key (Trace.key_of_symbols a) = a)
-
 let prop_insert_length =
   qcheck "insert adds lengths" QCheck.(pair symbols_gen symbols_gen)
     (fun (base, piece) ->
@@ -102,14 +84,6 @@ let prop_insert_length =
       let pos = List.length base / 2 in
       Trace.length (Trace.insert b ~pos p)
       = List.length base + List.length piece)
-
-let prop_sub_window_key =
-  qcheck "key pos len = key_of_symbols of sub" symbols_gen (fun l ->
-      QCheck.assume (List.length l >= 2);
-      let t = trace8 l in
-      let len = Stdlib.max 1 (List.length l / 2) in
-      Trace.key t ~pos:0 ~len
-      = Trace.key_of_symbols (Trace.to_array (Trace.sub t ~pos:0 ~len)))
 
 let () =
   Alcotest.run "trace"
@@ -127,11 +101,7 @@ let () =
           Alcotest.test_case "iter_windows" `Quick test_iter_windows;
           Alcotest.test_case "iter_windows short" `Quick test_iter_windows_short_trace;
           Alcotest.test_case "window_count" `Quick test_window_count;
-          Alcotest.test_case "key equality" `Quick test_key_equality;
-          Alcotest.test_case "key round trip" `Quick test_key_round_trip;
           Alcotest.test_case "pp elides" `Quick test_pp_elides;
-          prop_key_round_trip;
           prop_insert_length;
-          prop_sub_window_key;
         ] );
     ]

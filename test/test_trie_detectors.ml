@@ -194,6 +194,52 @@ let prop_score_range =
                full.Response.items.(it.Response.start).Response.score)
            part.Response.items)
 
+(* --- nn and lnb beyond 255 symbols ------------------------------------- *)
+
+(* A 300-symbol alphabet whose training trace uses symbols above 255,
+   kept short so nn's 400 epochs stay cheap.  [train] must work, and the
+   model built from a shared deeper trie must equal it bit for bit. *)
+let big = Alphabet.make 300
+
+let big_training =
+  Trace.of_list big [ 0; 256; 299; 7; 0; 256; 299; 298; 0; 256; 7; 299; 0 ]
+
+let big_test = Trace.of_list big [ 256; 299; 7; 0; 299; 256; 0; 256; 5; 299 ]
+
+let of_trie_exn name = function
+  | Some f -> f (Seq_trie.of_trace ~max_len:5 big_training) ~window:3
+  | None -> Alcotest.fail (name ^ " has no train_of_trie")
+
+let test_nn_large_alphabet () =
+  let trained = Neural.train ~window:3 big_training in
+  let viewed = of_trie_exn "nn" Neural.train_of_trie in
+  Alcotest.(check bool) "training loss, bit for bit" true
+    (Int64.equal
+       (Int64.bits_of_float (Neural.training_loss trained))
+       (Int64.bits_of_float (Neural.training_loss viewed)));
+  let expected = scores_of (Neural.score trained big_test) in
+  Alcotest.(check bool) "scores, bit for bit" true
+    (identical "nn/of_trie" expected (Neural.score viewed big_test) ~window:3);
+  Alcotest.(check bool) "predict, bit for bit" true
+    (Array.for_all2 Float.equal
+       (Neural.predict trained [| 256; 299 |])
+       (Neural.predict viewed [| 256; 299 |]));
+  Alcotest.(check bool) "scores in [0, 1]" true
+    (Array.for_all (fun x -> x >= 0.0 && x <= 1.0) expected)
+
+let test_lnb_large_alphabet () =
+  let trained = Lane_brodley.train ~window:3 big_training in
+  let viewed = of_trie_exn "lnb" Lane_brodley.train_of_trie in
+  Alcotest.(check int) "instances" (Lane_brodley.instances trained)
+    (Lane_brodley.instances viewed);
+  Alcotest.(check (pair (array int) int)) "best match of a training window"
+    ([| 256; 299; 7 |], Lane_brodley.max_similarity 3)
+    (Lane_brodley.best_match viewed [| 256; 299; 7 |]);
+  Alcotest.(check bool) "scores, bit for bit" true
+    (identical "lnb/of_trie"
+       (scores_of (Lane_brodley.score trained big_test))
+       (Lane_brodley.score viewed big_test) ~window:3)
+
 let () =
   Alcotest.run "trie_detectors"
     [
@@ -204,5 +250,12 @@ let () =
           prop_markov;
           prop_shared_trie;
           prop_score_range;
+        ] );
+      ( "wide alphabet",
+        [
+          Alcotest.test_case "nn trains and scores on 300 symbols" `Quick
+            test_nn_large_alphabet;
+          Alcotest.test_case "lnb trains and scores on 300 symbols" `Quick
+            test_lnb_large_alphabet;
         ] );
     ]
