@@ -25,11 +25,13 @@
     {b Shared tries.}  Alongside the model cache, the engine keeps one
     counting {!Seqdiv_stream.Seq_trie} per training-trace fingerprint
     (the deepest requested so far).  Detectors that declare
-    {!Seqdiv_detectors.Detector.S.train_of_trie} — Stide, t-stide,
-    Markov — train as width-slice views of that trie: a whole
-    detector x window grid over one training trace costs a single
-    O(length x max window) trace scan instead of one scan per cell.
-    Trie construction and reuse are reported in {!stats}.
+    {!Seqdiv_detectors.Detector.S.train_of_trie} — every registered
+    detector but HMM — train from that trie: a whole detector x window
+    grid over one training trace costs a single O(length x max window)
+    trace scan instead of one scan per cell.  Every cache miss of a
+    train phase then trains in one supervised batch on the pool,
+    largest window first.  Trie construction and reuse are reported in
+    {!stats}.
 
     {b Instrumentation.}  Per-stage wall-clock timers and task
     counters accumulate in {!stats} and are logged through [Logs]

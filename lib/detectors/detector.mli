@@ -28,15 +28,15 @@ module type S = sig
       shorter than the window. *)
 
   val train_of_trie : (Seq_trie.t -> window:int -> model) option
-  (** When the detector's model is a view over a counting trie, the
-      shared-trie constructor: build the model for one window size from
-      a trie that indexed the training trace at least [window] symbols
-      deep (one symbol deeper for context models such as Markov).  The
-      engine builds that trie once per training trace and reuses it for
-      every window cell and every capable detector; the result must be
-      indistinguishable from [train] on the same trace.  [None] for
-      detectors whose training is not trie-shaped (neural, HMM,
-      instance-based). *)
+  (** When the detector's model of normal behaviour is read out of the
+      training windows, the shared-trie constructor: build the model
+      for one window size from a trie that indexed the training trace
+      at least [window] symbols deep.  The engine builds that trie once
+      per training trace and reuses it for every window cell and every
+      capable detector; the result must be indistinguishable from
+      [train] on the same trace.  [None] only for detectors whose
+      training is not a function of the window counts (HMM, trained by
+      Baum-Welch on the raw trace). *)
 
   val window : model -> int
   (** The window size the model was trained with. *)

@@ -8,9 +8,9 @@
     stream — and reads it back, so a corpus can be generated once and
     evaluated elsewhere (or by other tools).
 
-    Loading re-derives the n-gram index from the stored training trace,
-    so a loaded suite is observationally identical to the generated
-    one. *)
+    Loading re-derives the n-gram index (the training trace's
+    {!Seqdiv_stream.Seq_trie}) from the stored training trace, so a
+    loaded suite is observationally identical to the generated one. *)
 
 val save : Suite.t -> dir:string -> unit
 (** Write the corpus.  Creates [dir] if missing.
