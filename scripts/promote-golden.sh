@@ -7,7 +7,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 dune build test/test_golden.exe test/test_lint_golden.exe \
-  test/test_serve_chaos.exe test/test_adaptive_golden.exe
+  test/test_serve_chaos.exe test/test_adaptive_golden.exe bin/main.exe
 SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR=test/golden \
   ./_build/default/test/test_golden.exe
 SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR=test/golden \
@@ -16,5 +16,6 @@ SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR=test/golden \
   ./_build/default/test/test_serve_chaos.exe
 SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR=test/golden \
   ./_build/default/test/test_adaptive_golden.exe
+./_build/default/bin/main.exe full -j 4 > test/golden/full.txt
 
 git --no-pager diff --stat -- test/golden

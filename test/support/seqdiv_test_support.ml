@@ -31,6 +31,14 @@ let cached key build =
 let small_suite () = cached "small" (fun () -> Suite.build small_params)
 let tiny_suite () = cached "tiny" (fun () -> Suite.build tiny_params)
 
+let bench_params =
+  {
+    (Suite.scaled_params ~train_len:150_000 ~background_len:8_000) with
+    Suite.seed = 7;
+  }
+
+let bench_suite () = cached "bench" (fun () -> Suite.build bench_params)
+
 let training_chain () =
   Markov_chain.paper_chain alphabet8 ~deviation:Generator.default_deviation
 

@@ -27,6 +27,13 @@ val tiny_params : Suite.params
 val tiny_suite : unit -> Suite.t
 (** Cached tiny suite. *)
 
+val bench_params : Suite.params
+(** The benchmark scale at seed 7: 150k training, 8k backgrounds, full
+    AS/DW ranges. *)
+
+val bench_suite : unit -> Suite.t
+(** Cached benchmark-scale suite. *)
+
 val training_chain : unit -> Markov_chain.t
 (** The paper chain over {!alphabet8} at the default deviation. *)
 

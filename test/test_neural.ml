@@ -160,31 +160,24 @@ let test_predict_rejects_foreign_symbol () =
         (fun () -> ignore (Neural.predict model context)))
     [ [| 5; 0 |]; [| 0; 5 |]; [| -1; 0 |] ]
 
-(* Bit-identity pin: for DW 2-8 on the tiny suite, one FNV-1a digest
-   per window over the bits of the training loss, of [predict] on every
-   distinct training context (sorted), and of every [score_range] item
-   of the suite's injected streams at that window.  The literals were
-   produced by the original dense trainer; any change to the float
-   operations of training or scoring shows up here. *)
+(* Bit-identity pins: one FNV-1a digest per trained model over the
+   bits of the training loss, of [predict] on every distinct training
+   context (ascending, as [Seq_trie.iter_slice] visits them), and of
+   every [score_range] item of the suite's injected streams at that
+   window.  Any change to the float operations of training or scoring
+   shows up here.  The tiny suite's literals at DW 2-8 were produced by
+   the original dense trainer. *)
 let fold_float h x = Seqdiv_util.Hash.fnv_int64 h (Int64.bits_of_float x)
 
-let model_digest suite ~window =
+let model_digest ?(params = Neural.default_params) suite ~window =
   let training = suite.Seqdiv_synth.Suite.training in
-  let model = Neural.train_with Neural.default_params ~window training in
+  let model = Neural.train_with params ~window training in
   let h =
     ref (fold_float Seqdiv_util.Hash.fnv_basis (Neural.training_loss model))
   in
-  let contexts = Hashtbl.create 64 in
-  Trace.iter_windows training ~width:(window - 1) (fun pos ->
-      Hashtbl.replace contexts
-        (Array.sub (Trace.raw training) pos (window - 1))
-        ());
-  Hashtbl.fold (fun context () acc -> context :: acc) contexts []
-  |> List.sort compare
-  |> List.iter (fun context ->
-         Array.iter
-           (fun p -> h := fold_float !h p)
-           (Neural.predict model context));
+  let contexts = Seq_trie.of_trace ~max_len:(window - 1) training in
+  Seq_trie.iter_slice contexts ~depth:(window - 1) (fun context _ ->
+      Array.iter (fun p -> h := fold_float !h p) (Neural.predict model context));
   Array.iter
     (fun (s : Seqdiv_synth.Suite.test_stream) ->
       if s.Seqdiv_synth.Suite.window = window then begin
@@ -197,28 +190,61 @@ let model_digest suite ~window =
           r.Response.items
       end)
     suite.Seqdiv_synth.Suite.streams;
-  !h
+  Printf.sprintf "%016Lx" !h
 
-let pinned_digests =
-  [
-    (2, "e5f9f603d84b0048");
-    (3, "cb17b42e777773a8");
-    (4, "c17b1fe38c938c18");
-    (5, "6beb7e485a23992b");
-    (6, "d0ebe971f992dfa6");
-    (7, "7ddffba59e4dcc39");
-    (8, "aaaedadf78a95281");
-  ]
-
-let test_bit_identity_pin () =
-  let suite = tiny_suite () in
+let check_digests ?params suite pins =
   List.iter
     (fun (window, expected) ->
       Alcotest.(check string)
         (Printf.sprintf "DW %d digest" window)
         expected
-        (Printf.sprintf "%016Lx" (model_digest suite ~window)))
-    pinned_digests
+        (model_digest ?params suite ~window))
+    pins
+
+let test_bit_identity_pin () =
+  check_digests (tiny_suite ())
+    [
+      (2, "e5f9f603d84b0048");
+      (3, "cb17b42e777773a8");
+      (4, "c17b1fe38c938c18");
+      (5, "6beb7e485a23992b");
+      (6, "d0ebe971f992dfa6");
+      (7, "7ddffba59e4dcc39");
+      (8, "aaaedadf78a95281");
+    ]
+
+(* The benchmark-scale suite at every window of the paper's grid. *)
+let test_bench_suite_pin () =
+  check_digests (bench_suite ())
+    [
+      (2, "4a2a5adb20ab8882");
+      (3, "2405fa73b7b42bd9");
+      (4, "5eafbff9ba23edf9");
+      (5, "957a04870ed0f78c");
+      (6, "79938f3439d22311");
+      (7, "93b7d715a6700210");
+      (8, "51cfb5fb43da68f1");
+      (9, "e62ad8add3fec798");
+      (10, "0c2caae310780615");
+      (11, "7f4b4efbcd3068b1");
+      (12, "9469c031da2f1810");
+      (13, "2c9e8e78a84aba11");
+      (14, "a31561123b485e7d");
+      (15, "3d0e4c08892b686d");
+    ]
+
+(* The A2 ablation's parameter points at DW 5 on the tiny suite: a
+   single hidden unit, few epochs, a low rate, no momentum. *)
+let test_ablation_points_pin () =
+  let base = Neural.default_params in
+  List.iter
+    (fun (params, expected) -> check_digests ~params (tiny_suite ()) [ (5, expected) ])
+    [
+      ({ base with Neural.hidden = 1 }, "e7608ac7c95218a7");
+      ({ base with Neural.epochs = 10 }, "f56f2a09f2433fa0");
+      ({ base with Neural.learning_rate = 0.005; epochs = 50 }, "80945f5f098c70bf");
+      ({ base with Neural.momentum = 0.0; learning_rate = 0.05 }, "0f04aed314d4b42a");
+    ]
 
 (* Training allocates its buffers once per call, none per epoch: twice
    the epochs on the same trace allocate exactly as many minor words. *)
@@ -257,6 +283,10 @@ let () =
           Alcotest.test_case "predict rejects foreign symbol" `Quick
             test_predict_rejects_foreign_symbol;
           Alcotest.test_case "bit-identity pin" `Quick test_bit_identity_pin;
+          Alcotest.test_case "bit-identity pin, benchmark-scale suite" `Quick
+            test_bench_suite_pin;
+          Alcotest.test_case "bit-identity pin, A2 parameter points" `Quick
+            test_ablation_points_pin;
           Alcotest.test_case "no allocation per epoch" `Quick
             test_training_allocation_free;
         ] );

@@ -59,13 +59,6 @@ let digest s = Digest.to_hex (Digest.string s)
 let check_suite name ~expected suite () =
   Alcotest.(check string) name expected (digest (render_suite suite))
 
-let bench_suite () =
-  Suite.build
-    {
-      (Suite.scaled_params ~train_len:150_000 ~background_len:8_000) with
-      Suite.seed = 7;
-    }
-
 (* The flat file compiled from a scorer, as bytes. *)
 let flat_bytes ~detector scorer =
   let path = Filename.temp_file "seqdiv_pin" ".flat" in
