@@ -15,6 +15,15 @@ open Seqdiv_report
 
 (* --- shared options ---------------------------------------------------- *)
 
+(* Every command's exit statuses: cmdliner's, and 1 for a malformed
+   input file (see [main]). *)
+let exits =
+  Cmd.Exit.info 1
+    ~doc:
+      "on a malformed or unreadable input file (a trace, dataset or \
+       model); the parser's message is printed on stderr."
+  :: Cmd.Exit.defaults
+
 let train_len_t =
   let doc = "Training-stream length (the paper uses 1000000)." in
   Arg.(value & opt int 150_000 & info [ "train-len" ] ~docv:"N" ~doc)
@@ -223,7 +232,8 @@ let synth_cmd =
     Arg.(value & opt string "training.trace" & info [ "o"; "output" ] ~doc:"Output file.")
   in
   Cmd.v
-    (Cmd.info "synth" ~doc:"Generate the synthetic training stream to a file.")
+    (Cmd.info "synth" ~exits
+       ~doc:"Generate the synthetic training stream to a file.")
     Term.(const run $ params_t $ out_t)
 
 (* --- mfs --------------------------------------------------------------- *)
@@ -255,7 +265,7 @@ let mfs_cmd =
     Arg.(value & opt int 10 & info [ "count" ] ~docv:"N" ~doc:"Candidates to show.")
   in
   Cmd.v
-    (Cmd.info "mfs"
+    (Cmd.info "mfs" ~exits
        ~doc:"List minimal foreign sequences constructible from the training data.")
     Term.(const run $ params_t $ size_t $ count_t)
 
@@ -313,7 +323,7 @@ let map_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "map" ~man
+    (Cmd.info "map" ~exits ~man
        ~doc:"Reproduce the performance maps of Figures 3-6 for chosen detectors.")
     Term.(
       const run $ params_t $ engine_t $ detectors_t $ csv_t $ journal_t
@@ -367,7 +377,7 @@ let full_cmd =
     ]
   in
   Cmd.v
-    (Cmd.info "full" ~man
+    (Cmd.info "full" ~exits ~man
        ~doc:"Run the complete paper reproduction (figures and tables).")
     Term.(const run $ params_t $ engine_t $ journal_t $ resume_t $ strict_t)
 
@@ -425,7 +435,8 @@ let roc_cmd =
     Arg.(value & opt int 30_000 & info [ "deploy-len" ] ~docv:"N" ~doc:"Deployment length.")
   in
   Cmd.v
-    (Cmd.info "roc" ~doc:"Threshold sweep: hit rate vs false-alarm rate.")
+    (Cmd.info "roc" ~exits
+       ~doc:"Threshold sweep: hit rate vs false-alarm rate.")
     Term.(const run $ params_t $ detector_t $ window_t $ as_t $ deploy_t)
 
 (* --- ensemble ---------------------------------------------------------- *)
@@ -450,7 +461,7 @@ let ensemble_cmd =
     Arg.(value & opt int 30_000 & info [ "deploy-len" ] ~docv:"N" ~doc:"Deployment length.")
   in
   Cmd.v
-    (Cmd.info "ensemble"
+    (Cmd.info "ensemble" ~exits
        ~doc:"Markov+Stide false-alarm suppression experiment (T2).")
     Term.(const run $ params_t $ engine_t $ window_t $ as_t $ deploy_t)
 
@@ -487,7 +498,7 @@ let lnb_cmd =
           ~doc:"Training length for the false-alarm model (undertrained regime).")
   in
   Cmd.v
-    (Cmd.info "lnb-threshold"
+    (Cmd.info "lnb-threshold" ~exits
        ~doc:"Cost of lowering the L&B threshold to catch an MFS (T3).")
     Term.(const run $ params_t $ engine_t $ as_t $ deploy_t $ fa_train_t)
 
@@ -561,7 +572,7 @@ let ablation_cmd =
       & info [ "which" ] ~docv:"ID" ~doc:"Which ablation: a1, a2, a3, a4 or all.")
   in
   Cmd.v
-    (Cmd.info "ablation" ~doc:"Run the A1-A4 ablation studies.")
+    (Cmd.info "ablation" ~exits ~doc:"Run the A1-A4 ablation studies.")
     Term.(const run $ params_t $ engine_t $ which_t)
 
 (* --- model (compile / score saved models) ------------------------------- *)
@@ -672,20 +683,20 @@ let model_cmd =
   in
   let compile_cmd =
     Cmd.v
-      (Cmd.info "compile"
+      (Cmd.info "compile" ~exits
          ~doc:"Compile a saved text model to the mmap-ready flat binary.")
       Term.(const run_compile $ verbose_t $ model_t $ out_t)
   in
   let score_cmd =
     Cmd.v
-      (Cmd.info "score"
+      (Cmd.info "score" ~exits
          ~doc:
            "Score a trace with a saved model (text or flat), printing one \
             lossless 'start score' line per window.")
       Term.(const run_score $ verbose_t $ model_t $ trace_t)
   in
   Cmd.group
-    (Cmd.info "model"
+    (Cmd.info "model" ~exits
        ~doc:"Compile and run saved detector models (deployment workflow).")
     [ compile_cmd; score_cmd ]
 
@@ -766,7 +777,7 @@ let detect_cmd =
           ~doc:"Also persist the trained model (stide and markov only).")
   in
   Cmd.v
-    (Cmd.info "detect"
+    (Cmd.info "detect" ~exits
        ~doc:"Train on one trace file and report incidents on another.")
     Term.(
       const run $ verbose_t $ detector_t $ window_t $ train_t $ test_t
@@ -805,7 +816,7 @@ let dataset_cmd =
       & info [ "check" ] ~doc:"Load and verify an existing corpus instead of generating.")
   in
   Cmd.v
-    (Cmd.info "dataset"
+    (Cmd.info "dataset" ~exits
        ~doc:"Generate the evaluation corpus to a directory, or verify one.")
     Term.(const run $ params_t $ dir_t $ check_t)
 
@@ -870,7 +881,7 @@ let compare_cmd =
       & info [ "test" ] ~docv:"FILE" ~doc:"Trace to score.")
   in
   Cmd.v
-    (Cmd.info "compare"
+    (Cmd.info "compare" ~exits
        ~doc:"Measure how two detectors' alarm sets overlap on your traces.")
     Term.(
       const run $ verbose_t
@@ -943,7 +954,7 @@ let classify_cmd =
       & info [ "test" ] ~docv:"FILE" ~doc:"Monitored traces to classify.")
   in
   Cmd.v
-    (Cmd.info "classify"
+    (Cmd.info "classify" ~exits
        ~doc:
          "Classify per-process system-call traces with stide (UNM pid/syscall \
           format).")
@@ -1233,7 +1244,7 @@ let serve_cmd =
              first $(docv) attempts, then succeed.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Serve streaming anomaly detection over a socket: sharded \
           multi-session monitors on a shared compiled model, batched framed \
@@ -1375,7 +1386,7 @@ let serve_bench_cmd =
       & info [ "quit" ] ~doc:"Ask the server to shut down when done.")
   in
   Cmd.v
-    (Cmd.info "serve-bench"
+    (Cmd.info "serve-bench" ~exits
        ~doc:
          "Drive a running $(b,seqdiv serve) with a synthetic session \
           workload over the socket, collect its incident log and print \
@@ -1421,7 +1432,7 @@ let serve_health_cmd =
              report once every shard queue has gone idle.")
   in
   Cmd.v
-    (Cmd.info "serve-health"
+    (Cmd.info "serve-health" ~exits
        ~doc:
          "Probe a running $(b,seqdiv serve): per-shard liveness, restart \
           counts, degradation, queue depths and the adaptive retry hints.")
@@ -1431,7 +1442,7 @@ let serve_health_cmd =
 
 let () =
   let info =
-    Cmd.info "seqdiv" ~version:"1.0.0"
+    Cmd.info "seqdiv" ~exits ~version:"1.0.0"
       ~doc:
         "Reproduction of Tan & Maxion, 'The Effects of Algorithmic Diversity \
          on Anomaly Detector Performance' (DSN 2005)."
@@ -1444,4 +1455,17 @@ let () =
         classify_cmd; serve_cmd; serve_bench_cmd; serve_health_cmd;
       ]
   in
-  exit (Cmd.eval group)
+  (* A malformed input file is the user's error, not a bug: one line on
+     stderr and exit 1, as [load_flat_or_exit] does for serve, instead of
+     cmdliner's "internal error" and 125.  Any other exception is still
+     reported as an internal error. *)
+  match Cmd.eval ~catch:false group with
+  | code -> exit code
+  | exception Parse_error.Error msg ->
+      Printf.eprintf "seqdiv: %s\n" msg;
+      exit 1
+  | exception e ->
+      let backtrace = Printexc.get_backtrace () in
+      Printf.eprintf "seqdiv: internal error, uncaught exception:\n%s\n%s%!"
+        (Printexc.to_string e) backtrace;
+      exit Cmd.Exit.internal_error

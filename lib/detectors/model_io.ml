@@ -55,6 +55,17 @@ let header_field ~what fields name =
   | Some v -> v
   | None -> Parse_error.fail "%s: bad header" what
 
+(* A window or alphabet size, which the loaders size tables by.  Every
+   stored window, context and counts row spells that many symbols or
+   counts out on a line, so a value above the input's byte length is
+   refused before anything is allocated. *)
+let size_field ~what ~input fields name =
+  let v = header_field ~what fields name in
+  if v > String.length input then
+    Parse_error.fail "%s: %s=%d exceeds the input's %d bytes" what name v
+      (String.length input);
+  v
+
 let save_stide model =
   let window = Stide.window model in
   let buf = Buffer.create 1024 in
@@ -74,7 +85,7 @@ let load_stide s =
   | header :: rest ->
       let what = "Model_io.load_stide" in
       let fields = parse_header ~what ~kind:"stide" header in
-      let window = header_field ~what fields "window" in
+      let window = size_field ~what ~input:s fields "window" in
       if window < 2 then Parse_error.fail "Model_io.load_stide: bad window";
       (* Every symbol the format can carry. *)
       let trie = Seq_trie.create ~alphabet_size:256 ~max_len:window in
@@ -131,8 +142,8 @@ let load_markov s =
   | header :: rest ->
       let what = "Model_io.load_markov" in
       let fields = parse_header ~what ~kind:"markov" header in
-      let window = header_field ~what fields "window" in
-      let k = header_field ~what fields "alphabet" in
+      let window = size_field ~what ~input:s fields "window" in
+      let k = size_field ~what ~input:s fields "alphabet" in
       if window < 2 || k < 1 then
         Parse_error.fail "Model_io.load_markov: bad header";
       let entries =

@@ -24,7 +24,10 @@ val save_stide : Stide.model -> string
 
 val load_stide : string -> Stide.model
 (** Inverse of {!save_stide}.
-    @raise Seqdiv_stream.Parse_error.Error on malformed input. *)
+    @raise Seqdiv_stream.Parse_error.Error on malformed input, including
+    a header [window] larger than the input's length in bytes, which is
+    refused before anything is allocated (every stored window spells out
+    its symbols on a line). *)
 
 val save_markov : Markov.model -> string
 (** Serialise a Markov model (window, alphabet size, and the
@@ -33,7 +36,10 @@ val save_markov : Markov.model -> string
 
 val load_markov : string -> Markov.model
 (** Inverse of {!save_markov}.
-    @raise Seqdiv_stream.Parse_error.Error on malformed input. *)
+    @raise Seqdiv_stream.Parse_error.Error on malformed input, including
+    a header [window] or [alphabet] larger than the input's length in
+    bytes, which is refused before anything is allocated (every context
+    and counts row is spelled out on a line). *)
 
 val save_stide_file : string -> Stide.model -> unit
 

@@ -16,7 +16,7 @@ type model = {
   window : int;
   k : int;
   params : params;
-  w1 : Matrix.t;  (* hidden × input *)
+  w1 : Matrix.t;  (* input × hidden: one row per input column *)
   b1 : float array;
   w2 : Matrix.t;  (* output × hidden *)
   b2 : float array;
@@ -37,24 +37,28 @@ let params m = m.params
 let training_loss m = m.loss
 
 (* Sparse evaluation (see the interface): the first layer sums the
-   context's hot columns with Matrix's one-hot kernels.  Everything
-   after it replays the dense operations in their order:
-   [h = tanh (w1·x + b1)], [o = w2·h + b2], then a softmax that
-   subtracts the ascending maximum, exponentiates, and divides by the
-   ascending sum.  Loop state lives in parameters or caller-owned
-   buffers: a ref accumulator, a closure or a fresh array would
-   allocate per window in scoring (lint R11) and per pair in
-   training. *)
+   context's hot rows of [w1] with Matrix's one-hot row kernels, into
+   per-prefix partial sums.  Everything after it replays the dense
+   operations in their order: [h = tanh (w1ᵀ·x + b1)],
+   [o = w2·h + b2], then a softmax that subtracts the ascending
+   maximum, exponentiates, and divides by the ascending sum.  Loop
+   state lives in parameters or caller-owned buffers: a ref
+   accumulator, a closure or a fresh array would allocate per window in
+   scoring (lint R11) and per pair in training. *)
 
-(* The forward pass of the context whose hot columns are
-   [hot.(pos..pos+ctx_len-1)]: hidden activations into [h], the
-   continuation distribution into [o].  The softmax's maximum and sum
-   accumulate in [cell.(0)], ascending: a float passed between calls
-   of a recursive helper would be boxed. *)
-let forward_into m hot ~pos h o cell =
-  Matrix.mul_one_hot_into m.w1 hot ~pos ~len:(m.window - 1) h;
-  for i = 0 to Array.length h - 1 do
-    h.(i) <- tanh (h.(i) +. m.b1.(i))
+(* The forward pass of the context whose hot rows are
+   [hot.(pos..pos+ctx_len-1)], whose first [from] hot rows are those of
+   the context [sums] last held: first-layer partial sums into [sums],
+   hidden activations into [h], the continuation distribution into
+   [o].  The softmax's maximum and sum accumulate in [cell.(0)],
+   ascending: a float passed between calls of a recursive helper would
+   be boxed. *)
+let forward_into m hot ~pos ~from sums h o cell =
+  let ctx_len = m.window - 1 and hidden = Array.length h in
+  Matrix.sum_rows_into m.w1 hot ~pos ~len:ctx_len sums ~from;
+  let last = (ctx_len - 1) * hidden in
+  for i = 0 to hidden - 1 do
+    h.(i) <- tanh (sums.(last + i) +. m.b1.(i))
   done;
   Matrix.mul_vec_into m.w2 h o;
   let n = Array.length o in
@@ -78,8 +82,8 @@ let forward_into m hot ~pos h o cell =
     o.(i) <- o.(i) /. z
   done
 
-(* Hot column of context position [j] holding symbol [s]. *)
-let hot_column m j s = (j * m.k) + s
+(* Hot row of context position [j] holding symbol [s]. *)
+let hot_row m j s = (j * m.k) + s
 
 (* Momentum step, as [Matrix.momentum_step]: v <- mu v - lr g;
    w <- w + v. *)
@@ -89,11 +93,22 @@ let step_vector p v g w =
     w.(i) <- w.(i) +. v.(i)
   done
 
+(* The number of leading context symbols of [w] equal to those of the
+   context whose hot rows start at [hot.(prev)]. *)
+let rec shared_prefix m hot prev w ctx_len j =
+  if j < ctx_len && hot.(prev + j) = hot_row m j w.(j) then
+    shared_prefix m hot prev w ctx_len (j + 1)
+  else j
+
 (* Training runs over the distinct (context, next) pairs of the training
    stream — the [window]-slice of its trie, in ascending order — with
    weights proportional to their counts; training on these is
    equivalent to training on the raw stream but far cheaper on
-   repetitive data. *)
+   repetitive data.  Within an epoch the weights do not change, so the
+   forward pass runs once per distinct context, whose pairs are
+   adjacent, and continues from the first-layer sums of the prefix it
+   shares with the previous context; each pair's back-propagation then
+   runs in pair order, as before. *)
 let of_trie_with p trie ~window =
   assert (window >= 2 && window <= Seq_trie.max_len trie);
   assert (p.hidden > 0 && p.epochs >= 0);
@@ -101,41 +116,63 @@ let of_trie_with p trie ~window =
   let ctx_len = window - 1 in
   let input = ctx_len * k in
   let rng = Prng.create ~seed:p.seed in
+  (* [w2] is drawn first, then [w1] row by row in its hidden × input
+     shape and stored transposed. *)
+  let w2 = Matrix.random rng ~rows:k ~cols:p.hidden ~scale:0.5 in
+  let w1 =
+    Matrix.transpose (Matrix.random rng ~rows:p.hidden ~cols:input ~scale:0.5)
+  in
   let m =
     {
       window;
       k;
       params = p;
-      w1 = Matrix.random rng ~rows:p.hidden ~cols:input ~scale:0.5;
+      w1;
       b1 = Array.make p.hidden 0.0;
-      w2 = Matrix.random rng ~rows:k ~cols:p.hidden ~scale:0.5;
+      w2;
       b2 = Array.make k 0.0;
       loss = 0.0;
     }
   in
-  (* Each distinct pair once: its hot columns, next symbol and weight. *)
+  (* Each distinct context once: its hot rows and the length of the
+     prefix it shares with the previous context.  Each distinct pair
+     once: its next symbol and weight.  The pairs of context [c] are
+     [first.(c)] to [first.(c + 1) - 1]. *)
   let n = Seq_trie.distinct trie window in
   let total = float_of_int (Seq_trie.total trie window) in
   let hot = Array.make (n * ctx_len) 0 in
+  let shared = Array.make n 0 in
+  let first = Array.make (n + 1) n in
   let nexts = Array.make n 0 in
   let weights = Array.make n 0.0 in
-  let q = ref 0 in
+  let contexts = ref 0 and q = ref 0 in
   Seq_trie.iter_slice trie ~depth:window (fun w c ->
-      for j = 0 to ctx_len - 1 do
-        hot.((!q * ctx_len) + j) <- hot_column m j w.(j)
-      done;
+      let s =
+        if !contexts = 0 then 0
+        else shared_prefix m hot ((!contexts - 1) * ctx_len) w ctx_len 0
+      in
+      if s < ctx_len then begin
+        for j = 0 to ctx_len - 1 do
+          hot.((!contexts * ctx_len) + j) <- hot_row m j w.(j)
+        done;
+        shared.(!contexts) <- s;
+        first.(!contexts) <- !q;
+        incr contexts
+      end;
       nexts.(!q) <- w.(ctx_len);
       weights.(!q) <- float_of_int c /. total;
       incr q);
+  let contexts = !contexts in
   (* Momentum, gradient and activation buffers, and the loss cell. *)
-  let vw1 = Matrix.create ~rows:p.hidden ~cols:input in
+  let vw1 = Matrix.create ~rows:input ~cols:p.hidden in
   let vb1 = Array.make p.hidden 0.0 in
   let vw2 = Matrix.create ~rows:k ~cols:p.hidden in
   let vb2 = Array.make k 0.0 in
-  let gw1 = Matrix.create ~rows:p.hidden ~cols:input in
+  let gw1 = Matrix.create ~rows:input ~cols:p.hidden in
   let gb1 = Array.make p.hidden 0.0 in
   let gw2 = Matrix.create ~rows:k ~cols:p.hidden in
   let gb2 = Array.make k 0.0 in
+  let sums = Array.make (ctx_len * p.hidden) 0.0 in
   let h = Array.make p.hidden 0.0 in
   let probs = Array.make k 0.0 in
   let delta_o = Array.make k 0.0 in
@@ -151,27 +188,27 @@ let of_trie_with p trie ~window =
     Array.fill gb2 0 k 0.0;
     (* Only the last epoch's loss is reported. *)
     let last = epoch = p.epochs in
-    for q = 0 to n - 1 do
-      let pos = q * ctx_len in
-      let next = nexts.(q) and weight = weights.(q) in
-      forward_into m hot ~pos h probs cell;
-      if last then
-        loss.(0) <- loss.(0) -. (weight *. log (Float.max probs.(next) 1e-300));
-      (* Output delta of softmax + cross-entropy: p - onehot(target). *)
-      for j = 0 to k - 1 do
-        delta_o.(j) <- weight *. (probs.(j) -. if j = next then 1.0 else 0.0)
-      done;
-      Matrix.add_outer gw2 delta_o h ~scale:1.0;
-      for j = 0 to k - 1 do
-        gb2.(j) <- gb2.(j) +. delta_o.(j)
-      done;
-      Matrix.tmul_vec_into m.w2 delta_o back;
-      for i = 0 to p.hidden - 1 do
-        delta_h.(i) <- back.(i) *. (1.0 -. (h.(i) *. h.(i)))
-      done;
-      Matrix.add_outer_one_hot gw1 delta_h hot ~pos ~len:ctx_len;
-      for i = 0 to p.hidden - 1 do
-        gb1.(i) <- gb1.(i) +. delta_h.(i)
+    for c = 0 to contexts - 1 do
+      let pos = c * ctx_len in
+      forward_into m hot ~pos ~from:shared.(c) sums h probs cell;
+      for q = first.(c) to first.(c + 1) - 1 do
+        let next = nexts.(q) and weight = weights.(q) in
+        if last then
+          loss.(0) <-
+            loss.(0) -. (weight *. log (Float.max probs.(next) 1e-300));
+        (* Output delta of softmax + cross-entropy: p - onehot(target). *)
+        for j = 0 to k - 1 do
+          let d = weight *. (probs.(j) -. if j = next then 1.0 else 0.0) in
+          delta_o.(j) <- d;
+          gb2.(j) <- gb2.(j) +. d
+        done;
+        Matrix.add_outer_tmul_into m.w2 delta_o h ~grad:gw2 ~back;
+        for i = 0 to p.hidden - 1 do
+          let d = back.(i) *. (1.0 -. (h.(i) *. h.(i))) in
+          delta_h.(i) <- d;
+          gb1.(i) <- gb1.(i) +. d
+        done;
+        Matrix.add_to_rows gw1 delta_h hot ~pos ~len:ctx_len
       done
     done;
     Matrix.momentum_step m.w1 ~velocity:vw1 ~grad:gw1 ~momentum:p.momentum
@@ -202,15 +239,17 @@ let predict m context =
         if s < 0 || s >= m.k then
           (* lint: allow partiality — documented precondition *)
           invalid_arg "Neural.predict: context symbol outside the alphabet";
-        hot_column m j s)
+        hot_row m j s)
       context
   in
-  let h = Array.make (Matrix.rows m.w1) 0.0 in
+  let hidden = m.params.hidden in
+  let sums = Array.make (ctx_len * hidden) 0.0 in
+  let h = Array.make hidden 0.0 in
   let o = Array.make m.k 0.0 in
-  forward_into m hot ~pos:0 h o (Array.make 1 0.0);
+  forward_into m hot ~pos:0 ~from:0 sums h o (Array.make 1 0.0);
   o
 
-(* Writes the hot columns of the context of the window at [start] into
+(* Writes the hot rows of the context of the window at [start] into
    [hot], and tells whether every symbol of the window — context and
    next — is inside the model's alphabet. *)
 let rec load_window_from m data hot start ctx_len j =
@@ -219,7 +258,7 @@ let rec load_window_from m data hot start ctx_len j =
     let s = data.(start + j) in
     s < m.k
     && begin
-         hot.(j) <- hot_column m j s;
+         hot.(j) <- hot_row m j s;
          load_window_from m data hot start ctx_len (j + 1)
        end
 
@@ -231,7 +270,8 @@ let score_range m trace ~lo ~hi =
   let data = Trace.raw trace in
   let ctx_len = m.window - 1 in
   let hot = Array.make ctx_len 0 in
-  let h = Array.make (Matrix.rows m.w1) 0.0 in
+  let sums = Array.make (ctx_len * m.params.hidden) 0.0 in
+  let h = Array.make m.params.hidden 0.0 in
   let o = Array.make m.k 0.0 in
   let cell = Array.make 1 0.0 in
   let n = Stdlib.max 0 (hi - lo + 1) in
@@ -243,7 +283,7 @@ let score_range m trace ~lo ~hi =
            continuation unseen, which scores 1 as in Markov. *)
         let score =
           if load_window_from m data hot start ctx_len 0 then begin
-            forward_into m hot ~pos:0 h o cell;
+            forward_into m hot ~pos:0 ~from:0 sums h o cell;
             Float.max 0.0 (1.0 -. o.(data.(start + ctx_len)))
           end
           else 1.0

@@ -18,16 +18,31 @@
     and which the A2 ablation reproduces.
 
     {b Sparse evaluation.}  Context position [i] holding symbol [s] is
-    input column [i·k + s] ([k] the training alphabet's size), so a
-    context sets exactly [window − 1] of the [(window − 1)·k] inputs.
-    Each distinct training pair is stored once, as those column indices,
-    its next symbol and its weight; the first layer sums only those
-    entries of each weight row, in ascending column order, and its
+    input [i·k + s] ([k] the training alphabet's size), so a context
+    sets exactly [window − 1] of the [(window − 1)·k] inputs.  The first
+    layer's weights are stored input-major, one row of [hidden] floats
+    per input, so a context selects [window − 1] contiguous rows: the
+    first layer sums only those, in ascending input order, and its
     gradient touches only them.  The dense product's other terms are
     products by [0.0], so models, losses, {!predict} and scores are bit
-    for bit those of the dense evaluation.  Training allocates its
-    buffers once per {!train_with} call and nothing per epoch; scoring
-    allocates nothing per window beyond the response item.
+    for bit those of the dense evaluation.
+
+    Training visits the distinct (context → next) pairs in ascending
+    order, so the pairs of one context are adjacent and consecutive
+    contexts share prefixes.  The weights change only between epochs,
+    so within one the forward pass runs once per distinct context, and
+    its first-layer sums continue from the partial sums of the prefix
+    it shares with the previous context: the same rows added in the
+    same order give the same floats.  Each pair's back-propagation then
+    runs in pair order.  At the output layer the delta and the bias
+    gradient take one pass over the outputs, and the weight gradient
+    and the error passed back one pass over the weights' rows; each
+    gradient and error cell receives exactly the terms the separate
+    dense steps add, in their order, and the same zero deltas are
+    skipped.  No float operation changes or moves, which
+    [test_neural] pins per window.  Training allocates its buffers once
+    per {!train_with} call and nothing per epoch; scoring allocates
+    nothing per window beyond the response item.
 
     {b Symbols outside the training alphabet.}  A scored window whose
     context or next symbol is [≥ k] has a context or continuation

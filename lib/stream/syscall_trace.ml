@@ -1,5 +1,7 @@
 type mapping = int array
 
+let max_distinct_calls = 1024
+
 let parse text =
   let compact = Hashtbl.create 64 in
   let order = ref [] in
@@ -8,7 +10,7 @@ let parse text =
     | Some s -> s
     | None ->
         let s = Hashtbl.length compact in
-        if s >= 255 then
+        if s >= max_distinct_calls then
           Parse_error.fail "Syscall_trace.parse: too many distinct calls";
         Hashtbl.add compact call s;
         order := call :: !order;

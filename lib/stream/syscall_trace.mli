@@ -15,10 +15,17 @@
 type mapping = int array
 (** [mapping.(symbol)] is the original system-call number. *)
 
+val max_distinct_calls : int
+(** 1024: the most distinct call numbers {!parse} accepts.  A current
+    Linux system-call table (about 460 calls on x86-64) fits with room
+    to spare.  The bound stays because a trace is outside input and the
+    alphabet it yields sizes every table trained on it: each
+    {!Seq_trie} node holds an alphabet-wide child array. *)
+
 val parse : string -> Sessions.t * mapping
 (** Parse the pid/syscall text format.
     @raise Parse_error.Error on a malformed line, a negative number, or
-    more than 255 distinct call numbers (the alphabet limit). *)
+    more than {!max_distinct_calls} distinct call numbers. *)
 
 val parse_file : string -> Sessions.t * mapping
 (** {!parse} on a file's contents. *)

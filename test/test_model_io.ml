@@ -103,6 +103,31 @@ let test_bad_inputs_rejected () =
   fails Model_io.load_markov "#seqdiv-markov 1 window=2 alphabet=4\nmalformed";
   fails Model_io.load_markov "#seqdiv-markov 1 window=2 alphabet=4\n0 | 1,2,3"
 
+(* A header window or alphabet no line of the input could spell out is
+   refused with [Parse_error] before anything is sized by it: neither
+   [Out_of_memory] nor a table of the declared size. *)
+let test_oversized_header_rejected () =
+  let refused what f s =
+    let before = Gc.allocated_bytes () in
+    (match f s with
+    | _ -> Alcotest.failf "%s: expected Parse_error" what
+    | exception Seqdiv_stream.Parse_error.Error _ -> ());
+    let allocated = Gc.allocated_bytes () -. before in
+    if allocated > 1e6 then
+      Alcotest.failf "%s: %.0f bytes allocated before the refusal" what allocated
+  in
+  refused "stide window 1e12" Model_io.load_stide
+    "#seqdiv-stide 1 window=1000000000000\n1 0,1,2\n";
+  refused "stide window 1e8" Model_io.load_stide
+    "#seqdiv-stide 1 window=100000000\n1 0,1,2\n";
+  refused "markov alphabet 1e12" Model_io.load_markov
+    "#seqdiv-markov 1 window=3 alphabet=1000000000000\n0,1 | 1,2\n";
+  refused "markov window 1e12" Model_io.load_markov
+    "#seqdiv-markov 1 window=1000000000000 alphabet=2\n0,1 | 1,2\n";
+  (* A window as long as the input still loads, up to its lines. *)
+  let m = Model_io.load_stide "#seqdiv-stide 1 window=3\n1 0,1,2\n" in
+  Alcotest.(check int) "small window" 3 (Stide.window m)
+
 let test_missing_file_raises_parse_error () =
   (* A missing or unreadable model file must surface as a Parse_error
      carrying the path, not a bare Sys_error from the runtime. *)
@@ -152,6 +177,8 @@ let () =
           Alcotest.test_case "stide file" `Quick test_stide_file_round_trip;
           Alcotest.test_case "markov file" `Quick test_markov_file_round_trip;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs_rejected;
+          Alcotest.test_case "oversized header" `Quick
+            test_oversized_header_rejected;
           Alcotest.test_case "symbols above 255" `Quick test_wide_symbols;
           Alcotest.test_case "missing files" `Quick
             test_missing_file_raises_parse_error;

@@ -80,6 +80,34 @@ let test_stide_on_parsed_sessions () =
   Alcotest.(check (float 0.0)) "foreign within-session pair" 1.0
     (Seqdiv_detectors.Response.max_score r)
 
+(* One process calling [calls] distinct numbers (sparse, from 1000),
+   twice over. *)
+let distinct_calls_trace calls =
+  String.concat ""
+    (List.init (2 * calls) (fun i -> Printf.sprintf "7 %d\n" (1000 + (3 * (i mod calls)))))
+
+let test_wide_call_tables () =
+  (* Wider than the 255 calls a byte alphabet held: parses, and stide
+     trains on it and scores it. *)
+  let sessions, mapping = Syscall_trace.parse (distinct_calls_trace 300) in
+  Alcotest.(check int) "300 calls" 300 (Array.length mapping);
+  Alcotest.(check int) "alphabet" 300 (Alphabet.size (Sessions.alphabet sessions));
+  let db = Seq_trie.of_traces ~max_len:3 (Sessions.traces sessions) in
+  let stide = Seqdiv_detectors.Stide.of_trie db ~window:3 in
+  let trace = List.hd (Sessions.traces sessions) in
+  Alcotest.(check (float 0.0)) "training trace is normal" 0.0
+    (Seqdiv_detectors.Response.max_score (Seqdiv_detectors.Stide.score stide trace));
+  let foreign = Trace.of_list (Sessions.alphabet sessions) [ 299; 0; 2 ] in
+  Alcotest.(check (float 0.0)) "foreign window" 1.0
+    (Seqdiv_detectors.Response.max_score (Seqdiv_detectors.Stide.score stide foreign));
+  (* The bound itself parses; one call more is refused. *)
+  let bound = Syscall_trace.max_distinct_calls in
+  let _, mapping = Syscall_trace.parse (distinct_calls_trace bound) in
+  Alcotest.(check int) "at the bound" bound (Array.length mapping);
+  Alcotest.check_raises "past the bound"
+    (Seqdiv_stream.Parse_error.Error "Syscall_trace.parse: too many distinct calls")
+    (fun () -> ignore (Syscall_trace.parse (distinct_calls_trace (bound + 1))))
+
 let prop_round_trip =
   qcheck ~count:60 "render/parse round trip"
     QCheck.(
@@ -114,6 +142,7 @@ let () =
           Alcotest.test_case "render round trip" `Quick test_render_round_trip;
           Alcotest.test_case "file round trip" `Quick test_file_round_trip;
           Alcotest.test_case "stide end-to-end" `Quick test_stide_on_parsed_sessions;
+          Alcotest.test_case "wide call tables" `Quick test_wide_call_tables;
           prop_round_trip;
         ] );
     ]
