@@ -1,7 +1,7 @@
 (* seqdiv-lint: static determinism & detector-contract checks.
 
    Usage: seqdiv_lint [--format text|json|sarif] [--baseline FILE]
-                      [ROOT ...]                 (roots default to lib bin bench)
+                      [ROOT ...]                 (roots default to lib bin)
 
    Exit status 0 when no error-severity finding remains after baseline
    filtering, 1 on findings, 2 on usage errors (e.g. an unreadable
@@ -36,7 +36,7 @@ let () =
   in
   let roots =
     match parse_args [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> [ "lib"; "bin"; "bench" ]
+    | [] -> [ "lib"; "bin" ]
     | roots -> roots
   in
   let files =

@@ -2,7 +2,7 @@
     run every rule, render the findings.
 
     [seqdiv-lint] (bin/lint) is a thin wrapper over this module, and
-    [dune build @lint] runs it over [lib/], [bin/] and [bench/]. *)
+    [dune build @lint] runs it over [lib/] and [bin/]. *)
 
 val load_file : string -> Source.t
 (** Read one file from disk.  The path is kept verbatim — the linter

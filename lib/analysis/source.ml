@@ -1,4 +1,4 @@
-type role = Lib | Bin | Bench | Test | Other
+type role = Lib | Bin | Test | Other
 type kind = Ml | Mli
 
 type parsed =
@@ -29,7 +29,6 @@ let role_of_path path =
   match first with
   | "lib" -> Lib
   | "bin" -> Bin
-  | "bench" -> Bench
   | "test" -> Test
   | _ -> Other
 

@@ -6,10 +6,10 @@
     from a file set to diagnostics — the test suite feeds it inline
     fixtures and the executable feeds it the real tree. *)
 
-type role = Lib | Bin | Bench | Test | Other
+type role = Lib | Bin | Test | Other
 (** Which part of the tree a file belongs to.  Determinism, hygiene and
     partiality rules apply only to [Lib] (result-producing library
-    code); executables and benchmarks may print and may measure time. *)
+    code); executables may print and may measure time. *)
 
 type kind = Ml | Mli
 

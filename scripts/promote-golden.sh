@@ -17,5 +17,7 @@ SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR=test/golden \
 SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR=test/golden \
   ./_build/default/test/test_adaptive_golden.exe
 ./_build/default/bin/main.exe full -j 4 > test/golden/full.txt
+./_build/default/bin/main.exe ablation -j 4 > test/golden/ablation.txt
+./_build/default/bin/main.exe extensions -j 4 > test/golden/extensions.txt
 
 git --no-pager diff --stat -- test/golden
