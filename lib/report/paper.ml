@@ -444,7 +444,7 @@ let ablation4 points =
     (fun (p : Ablation.rare_point) ->
       Table.add_row t
         [
-          Printf.sprintf "%.4f" p.Ablation.threshold;
+          Printf.sprintf "%g" p.Ablation.threshold;
           string_of_int p.Ablation.rare_twograms;
           string_of_int p.Ablation.common_twograms;
           string_of_int p.Ablation.mfs_candidates;

@@ -162,6 +162,37 @@ let test_extension4_rates () =
   Alcotest.(check bool) "detection rate" true (contains s "1.00");
   Alcotest.(check bool) "fa rate" true (contains s "0.10")
 
+(* The rare-threshold sweep's six thresholds render as six distinct
+   strings: two of them differ only past the fourth decimal place. *)
+let test_ablation4_thresholds_distinct () =
+  let s =
+    Paper.ablation4
+      (List.map
+         (fun threshold ->
+           {
+             Ablation.threshold;
+             rare_twograms = 0;
+             common_twograms = 0;
+             mfs_candidates = 0;
+           })
+         [ 0.00005; 0.0001; 0.0005; 0.005; 0.05; 0.2 ])
+  in
+  let thresholds =
+    match String.split_on_char '\n' s with
+    | _title :: _header :: _rule :: rows ->
+        List.filter_map
+          (fun row ->
+            match String.split_on_char ' ' row with
+            | first :: _ when first <> "" -> Some first
+            | _ -> None)
+          rows
+    | _ -> []
+  in
+  Alcotest.(check int) "six rows" 6 (List.length thresholds);
+  Alcotest.(check int)
+    "six distinct thresholds" 6
+    (List.length (List.sort_uniq String.compare thresholds))
+
 let test_ablation6_rows () =
   let s =
     Paper.ablation6
@@ -236,6 +267,8 @@ let () =
           Alcotest.test_case "extension2 verdicts" `Quick test_extension2_verdicts;
           Alcotest.test_case "extension3 rows" `Quick test_extension3_rows;
           Alcotest.test_case "extension4 rates" `Quick test_extension4_rates;
+          Alcotest.test_case "ablation4 thresholds distinct" `Quick
+            test_ablation4_thresholds_distinct;
           Alcotest.test_case "ablation6 rows" `Quick test_ablation6_rows;
           Alcotest.test_case "ablation7 rows" `Quick test_ablation7_rows;
           Alcotest.test_case "ablation8 rows" `Quick test_ablation8_rows;
