@@ -4,8 +4,6 @@
    is straight-line, allocation-free, and checkpointed through the
    sketch's own insert/compress loops. *)
 
-type estimator = Gk | P2
-
 type config = {
   budget : float;
   epsilon : float;
@@ -13,11 +11,10 @@ type config = {
   refresh : int;
   hysteresis : float;
   initial : float;
-  estimator : estimator;
 }
 
 let config ~budget ?epsilon ?(warmup = 128) ?(refresh = 32)
-    ?(hysteresis = 0.25) ?(estimator = Gk) ~initial () =
+    ?(hysteresis = 0.25) ~initial () =
   let epsilon = match epsilon with Some e -> e | None -> budget /. 4.0 in
   if not (budget > 0.0 && budget < 1.0) then
     (* lint: allow partiality — documented precondition *)
@@ -38,13 +35,11 @@ let config ~budget ?epsilon ?(warmup = 128) ?(refresh = 32)
   if Float.is_nan initial then
     (* lint: allow partiality — documented precondition *)
     invalid_arg "Adaptive_threshold.config: initial threshold is NaN";
-  { budget; epsilon; warmup; refresh; hysteresis; initial; estimator }
-
-type sketch = Sk_gk of Quantile.t | Sk_p2 of Quantile.P2.t
+  { budget; epsilon; warmup; refresh; hysteresis; initial }
 
 type t = {
   cfg : config;
-  sk : sketch;
+  sk : Quantile.t;
   mutable cur : float;
   mutable n_windows : int;
   mutable n_alarms : int;
@@ -56,10 +51,7 @@ let target_phi cfg = 1.0 -. cfg.budget
 let create cfg =
   {
     cfg;
-    sk =
-      (match cfg.estimator with
-      | Gk -> Sk_gk (Quantile.create ~epsilon:cfg.epsilon)
-      | P2 -> Sk_p2 (Quantile.P2.create ~phi:(target_phi cfg)));
+    sk = Quantile.create ~epsilon:cfg.epsilon;
     cur = cfg.initial;
     n_windows = 0;
     n_alarms = 0;
@@ -85,21 +77,12 @@ let observed_rate t =
    distribution shifts leave the threshold (and the incident log)
    untouched. *)
 let refresh t =
-  let implied_tail =
-    1.0
-    -. (match t.sk with
-       | Sk_gk s -> Quantile.rank s t.cur
-       | Sk_p2 s -> Quantile.P2.rank s t.cur)
-  in
+  let implied_tail = 1.0 -. Quantile.rank t.sk t.cur in
   if
     Float.abs (implied_tail -. t.cfg.budget)
     > t.cfg.hysteresis *. t.cfg.budget
   then begin
-    let candidate =
-      match t.sk with
-      | Sk_gk s -> Quantile.quantile s (target_phi t.cfg)
-      | Sk_p2 s -> Quantile.P2.quantile s
-    in
+    let candidate = Quantile.quantile t.sk (target_phi t.cfg) in
     if Int64.bits_of_float candidate <> Int64.bits_of_float t.cur then begin
       t.cur <- candidate;
       t.n_adjustments <- t.n_adjustments + 1
@@ -116,9 +99,7 @@ let step t score =
   let alarm = score > t.cur in
   t.n_windows <- t.n_windows + 1;
   if alarm then t.n_alarms <- t.n_alarms + 1;
-  (match t.sk with
-  | Sk_gk s -> Quantile.observe s score
-  | Sk_p2 s -> Quantile.P2.observe s score);
+  Quantile.observe t.sk score;
   if t.n_windows >= t.cfg.warmup && t.n_windows mod t.cfg.refresh = 0 then
     refresh t;
   alarm
@@ -134,9 +115,7 @@ let to_string t =
   Printf.sprintf "at1:%d:%d:%d:%016Lx:%s" t.n_windows t.n_alarms
     t.n_adjustments
     (Int64.bits_of_float t.cur)
-    (match t.sk with
-    | Sk_gk s -> Quantile.to_string s
-    | Sk_p2 s -> Quantile.P2.to_string s)
+    (Quantile.to_string t.sk)
 
 let of_string cfg s =
   match String.split_on_char ':' s with
@@ -157,43 +136,24 @@ let of_string cfg s =
       in
       match (nat w_s, nat a_s, nat adj_s, cur) with
       | Some w, Some a, Some adj, Some cur when a <= w -> (
-          (* The sketch must agree with the supplied config: right
-             estimator kind, same epsilon / quantile target (bitwise —
-             both sides compute them the same way), and exactly one
-             observation per judged window. *)
-          match cfg.estimator with
-          | Gk -> (
-              match Quantile.of_string sketch_s with
-              | Some sk
-                when Int64.bits_of_float (Quantile.epsilon sk)
-                     = Int64.bits_of_float cfg.epsilon
-                     && Quantile.count sk = w ->
-                  Some
-                    {
-                      cfg;
-                      sk = Sk_gk sk;
-                      cur;
-                      n_windows = w;
-                      n_alarms = a;
-                      n_adjustments = adj;
-                    }
-              | _ -> None)
-          | P2 -> (
-              match Quantile.P2.of_string sketch_s with
-              | Some sk
-                when Int64.bits_of_float (Quantile.P2.phi sk)
-                     = Int64.bits_of_float (target_phi cfg)
-                     && Quantile.P2.count sk = w ->
-                  Some
-                    {
-                      cfg;
-                      sk = Sk_p2 sk;
-                      cur;
-                      n_windows = w;
-                      n_alarms = a;
-                      n_adjustments = adj;
-                    }
-              | _ -> None))
+          (* The sketch must agree with the supplied config: same
+             epsilon (bitwise — both sides compute it the same way),
+             and exactly one observation per judged window. *)
+          match Quantile.of_string sketch_s with
+          | Some sk
+            when Int64.bits_of_float (Quantile.epsilon sk)
+                 = Int64.bits_of_float cfg.epsilon
+                 && Quantile.count sk = w ->
+              Some
+                {
+                  cfg;
+                  sk;
+                  cur;
+                  n_windows = w;
+                  n_alarms = a;
+                  n_adjustments = adj;
+                }
+          | _ -> None)
       | _ -> None)
   | _ -> None
 
@@ -202,10 +162,7 @@ let equal a b =
   && a.n_alarms = b.n_alarms
   && a.n_adjustments = b.n_adjustments
   && Int64.bits_of_float a.cur = Int64.bits_of_float b.cur
-  && (match (a.sk, b.sk) with
-     | Sk_gk x, Sk_gk y -> Quantile.equal x y
-     | Sk_p2 x, Sk_p2 y -> Quantile.P2.equal x y
-     | Sk_gk _, Sk_p2 _ | Sk_p2 _, Sk_gk _ -> false)
+  && Quantile.equal a.sk b.sk
 
 (* --- budget allocation -------------------------------------------------- *)
 

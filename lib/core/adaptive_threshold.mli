@@ -24,11 +24,6 @@
     bound, with the paper's Stide-suppresses-Markov policy
     ({!default_members}) as the wired default. *)
 
-(** Which sketch backs the controller.  [Gk] (default) has the
-    deterministic ε rank-error bound; [P2] is the constant-space
-    heuristic alternative (compared in [bench --adaptive]). *)
-type estimator = Gk | P2
-
 type config = {
   budget : float;  (** target per-detector false-alarm rate, in (0,1) *)
   epsilon : float;  (** GK rank-error bound (default [budget /. 4.]) *)
@@ -44,7 +39,6 @@ type config = {
           can reprice a large mass, so a value-space band would either
           chatter or stick *)
   initial : float;  (** threshold until the first refresh *)
-  estimator : estimator;
 }
 
 val config :
@@ -53,7 +47,6 @@ val config :
   ?warmup:int ->
   ?refresh:int ->
   ?hysteresis:float ->
-  ?estimator:estimator ->
   initial:float ->
   unit ->
   config
@@ -101,8 +94,8 @@ val to_string : t -> string
 
 val of_string : config -> string -> t option
 (** Parse a {!to_string} token back under [config]; [None] if the
-    token is malformed or disagrees with [config] (wrong estimator
-    kind, epsilon or quantile target). *)
+    token is malformed or disagrees with [config] (another epsilon, or a
+    sketch count other than the judged windows). *)
 
 val equal : t -> t -> bool
 (** Bit-level state equality (counters, threshold, sketch). *)

@@ -3,28 +3,21 @@
     Adaptive thresholding (Bridges et al., "Setting the threshold for
     high throughput detectors") needs an online estimate of a tail
     quantile of each detector's score distribution, in bounded memory,
-    with a provable rank-error bound.  Two estimators are provided:
+    with a provable rank-error bound.  [t] is a Greenwald–Khanna
+    ε-summary: after [n] observations, {!quantile} answers any rank
+    query within [⌊ε·n⌋] ranks of the exact order statistic, retaining
+    O(1/ε · log(ε·n)) tuples.  Summaries are mergeable ({!merge}) and
+    serializable ({!to_string}), so per-session sketch state rides in
+    shard journals and shard-level sketches can be combined into a
+    service-wide view.
 
-    - the main type [t] is a Greenwald–Khanna ε-summary: after [n]
-      observations, {!quantile} answers any rank query within
-      [⌊ε·n⌋] ranks of the exact order statistic, retaining
-      O(1/ε · log(ε·n)) tuples.  Summaries are mergeable
-      ({!merge}) and serializable ({!to_string}), so per-session
-      sketch state rides in shard journals and shard-level sketches
-      can be combined into a service-wide view.
-    - {!P2} is the Jain–Chlamtac P² estimator: five markers tracking a
-      single pre-chosen quantile in constant space.  Cheaper but
-      heuristic — no deterministic error bound — kept as the
-      low-memory alternative and as a cross-check in the statistical
-      test battery.
-
-    {b Determinism.}  Both estimators are pure functions of the
-    observation {e sequence}: compression in the GK summary triggers on
-    an observation counter, never on wall clock or buffer occupancy
-    tuning, so feeding the same scores one at a time or in any batching
-    yields bit-identical sketch state.  This is what lets the serve
-    layer keep incident logs byte-identical across shard counts and
-    kill/resume (see docs/ROBUSTNESS.md). *)
+    {b Determinism.}  The summary is a pure function of the
+    observation {e sequence}: compression triggers on an observation
+    counter, never on wall clock or buffer occupancy tuning, so feeding
+    the same scores one at a time or in any batching yields
+    bit-identical sketch state.  This is what lets the serve layer keep
+    incident logs byte-identical across shard counts and kill/resume
+    (see docs/ROBUSTNESS.md). *)
 
 type t
 (** A Greenwald–Khanna ε-summary over float observations. *)
@@ -82,40 +75,3 @@ val equal : t -> t -> bool
 (** Structural equality of the full sketch state (bit-level on
     values) — the test battery's merge-commutativity and
     roundtrip oracle. *)
-
-(** The P² single-quantile estimator (Jain & Chlamtac 1985): five
-    markers adjusted by parabolic interpolation track one pre-chosen
-    quantile in O(1) space.  Exact below five observations. *)
-module P2 : sig
-  type t
-
-  val create : phi:float -> t
-  (** An estimator for the [phi]-quantile.
-      @raise Invalid_argument unless [0 <= phi <= 1]. *)
-
-  val phi : t -> float
-  val count : t -> int
-
-  val observe : t -> float -> unit
-  (** Absorb one observation.  O(1).
-      @raise Invalid_argument on NaN. *)
-
-  val quantile : t -> float
-  (** The current estimate.
-      @raise Invalid_argument if no observation has been absorbed. *)
-
-  val rank : t -> float -> float
-  (** Estimated fraction of observations at or below [x], by linear
-      interpolation between the five markers' positions.  Heuristic,
-      like the estimator itself; exact below five observations.
-      @raise Invalid_argument if no observation has been absorbed or
-      [x] is NaN. *)
-
-  val to_string : t -> string
-  (** Lossless, space-free serialization (same contract as the
-      summary's {!val:to_string}). *)
-
-  val of_string : string -> t option
-
-  val equal : t -> t -> bool
-end

@@ -353,61 +353,6 @@ let test_gk_of_string_rejects () =
       "gk1:3fb999999999999a:1:1:1:3ff0000000000000.0.0";
     ]
 
-(* --- P² ------------------------------------------------------------------ *)
-
-let test_p2_exact_below_five () =
-  let t = Quantile.P2.create ~phi:0.5 in
-  List.iter (Quantile.P2.observe t) [ 9.0; 1.0; 5.0 ];
-  Alcotest.(check (float 0.0)) "exact small-sample median" 5.0
-    (Quantile.P2.quantile t)
-
-let test_p2_convergence () =
-  (* P² is heuristic — no deterministic bound — so the battery asserts
-     rank-convergence with per-shape tolerances: tight on exchangeable
-     streams, loose on the monotone arrivals that stress its marker
-     interpolation. *)
-  let n = 50_000 in
-  List.iter
-    (fun shape ->
-      let tol =
-        match shape with
-        | Uniform | Gaussian | Constant -> 0.05
-        | Sorted | Reversed -> 0.15
-        (* Five atoms of mass 0.2 each: P²'s parabolic interpolation
-           lands between atoms, so its rank distance to the target is
-           bounded by an atom's mass, not by the sample size.  (The GK
-           summary has no such gap — see the eps-bound suite.) *)
-        | Duplicates -> 0.25
-      in
-      List.iter
-        (fun phi ->
-          let rng = Prng.create ~seed:101 in
-          let data = stream_of_shape shape ~n rng in
-          let t = Quantile.P2.create ~phi in
-          Array.iter (Quantile.P2.observe t) data;
-          let err = int_of_float (tol *. float_of_int n) in
-          if not (within_rank data ~phi ~err (Quantile.P2.quantile t)) then
-            Alcotest.failf "p2 %s: phi=%g estimate %h off by > %g of ranks"
-              (shape_name shape) phi (Quantile.P2.quantile t) tol)
-        [ 0.5; 0.9; 0.95 ])
-    all_shapes
-
-let prop_p2_roundtrip (scores, phi_i) =
-  let phi = float_of_int phi_i /. 20.0 in
-  let t = Quantile.P2.create ~phi in
-  List.iter (Quantile.P2.observe t) scores;
-  match Quantile.P2.of_string (Quantile.P2.to_string t) with
-  | Some t' -> Quantile.P2.equal t t'
-  | None -> false
-
-let test_p2_rejects () =
-  List.iter
-    (fun bad ->
-      match Quantile.P2.of_string bad with
-      | None -> ()
-      | Some _ -> Alcotest.failf "accepted malformed token %S" bad)
-    [ ""; "p21:::::"; "p21:3fe0000000000000:1:0,0,0,0:1,2,3,4,5:0,0,0,0,0" ]
-
 let () =
   Alcotest.run "quantile"
     [
@@ -440,16 +385,5 @@ let () =
           Alcotest.test_case "token journal-safe" `Quick test_gk_token_shape;
           Alcotest.test_case "malformed rejected" `Quick
             test_gk_of_string_rejects;
-          qcheck ~count:200 "p2 roundtrip"
-            QCheck.(pair scores_arb (int_bound 20))
-            prop_p2_roundtrip;
-          Alcotest.test_case "p2 malformed rejected" `Quick test_p2_rejects;
-        ] );
-      ( "p2",
-        [
-          Alcotest.test_case "exact below five" `Quick
-            test_p2_exact_below_five;
-          Alcotest.test_case "rank convergence by shape" `Quick
-            test_p2_convergence;
         ] );
     ]
