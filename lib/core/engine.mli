@@ -80,7 +80,7 @@ val create :
     clamped to at least 0) is the supervisor's budget of {e additional}
     executions for a transiently-failed task.  [fault_plan] arms the
     seeded chaos harness: every train/score task consults the plan
-    before running (tests and [bench --chaos] only).  [deadline] arms a
+    before running (tests and the CLI's [--chaos SEED] only).  [deadline] arms a
     cooperative watchdog afresh around every supervised task execution
     (and every trie build): a task that checkpoints past the budget
     degrades its cell to {!Outcome.Failed} with the non-retried

@@ -1,5 +1,5 @@
 (** Seeded fault-injection plans — the chaos harness the supervision
-    tests and [bench --chaos] drive.
+    tests and the CLI's [--chaos SEED] drive.
 
     A plan deterministically decides, per task, whether that task's
     execution raises {!Fault.Injected}.  Decisions are a {e stateless}

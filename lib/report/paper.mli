@@ -1,6 +1,6 @@
 (** Paper-shaped renderings of every experiment: one function per
     figure/table of the reproduction (see DESIGN.md §3).  These are the
-    rows/series the benchmark harness and the CLI print. *)
+    rows/series the CLI's [full], [ablation] and [extensions] print. *)
 
 open Seqdiv_core
 open Seqdiv_synth

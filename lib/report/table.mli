@@ -1,5 +1,5 @@
-(** Plain-text tables with aligned columns, used by the CLI and the
-    benchmark harness to print the paper-shaped result rows. *)
+(** Plain-text tables with aligned columns, used by the CLI to print
+    the paper-shaped result rows. *)
 
 type t
 

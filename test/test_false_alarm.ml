@@ -81,8 +81,8 @@ let test_static_drifts_adaptive_holds () =
      threshold calibrated to the false-alarm budget on a pre-drift
      corpus blows far past it once the generating process drifts,
      while a controller started from the {e same} calibrated value
-     re-tracks the quantile and holds the rate.  ([bench --adaptive]
-     measures the same contrast on a larger corpus.) *)
+     re-tracks the quantile and holds the rate.  ([seqdiv extensions
+     --which adaptive] measures the same contrast on a larger corpus.) *)
   let suite = small_suite () in
   let budget = 0.05 in
   let markov =
