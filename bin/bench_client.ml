@@ -19,7 +19,6 @@ open Seqdiv_util
 
 type options = {
   address : Serve.address;
-  encoding : Frame.encoding;
   sessions : int;  (* per round *)
   session_length : int;
   rounds : int;
@@ -210,23 +209,21 @@ type link = {
   mutable decoder : Frame.reader;
   rbuf : Bytes.t;
   ebuf : Buffer.t;
-  encoding : Frame.encoding;
 }
 
-let link_connect address ~budget_s encoding =
+let link_connect address ~budget_s =
   {
     fd = connect_retry address ~budget_s;
     decoder = Frame.reader ();
     rbuf = Bytes.create 65536;
     ebuf = Buffer.create 65536;
-    encoding;
   }
 
 (* A write into a dead connection is dropped: the next read reports the
    death (see [recv_response]), and the drive loop reconnects there. *)
 let send_request link request =
   Buffer.clear link.ebuf;
-  Frame.write_request link.ebuf link.encoding request;
+  Frame.write_request link.ebuf Frame.Binary request;
   try write_all link.fd (Buffer.to_bytes link.ebuf)
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
 
@@ -289,9 +286,7 @@ let symbols_of_batch = function
       0
 
 let drive_connection opts (conn_index, batches) =
-  let link =
-    link_connect opts.address ~budget_s:15.0 opts.encoding
-  in
+  let link = link_connect opts.address ~budget_s:15.0 in
   let incidents : (int, Frame.incident_event list) Hashtbl.t =
     Hashtbl.create 256
   in
@@ -443,7 +438,7 @@ let drive_connection opts (conn_index, batches) =
    so scripts can rely on the server being gone when serve-bench
    exits. *)
 let quit_server opts =
-  let link = link_connect opts.address ~budget_s:15.0 opts.encoding in
+  let link = link_connect opts.address ~budget_s:15.0 in
   send_request link Frame.Quit;
   while recv_response link <> None do
     ()
@@ -453,8 +448,8 @@ let quit_server opts =
 (* Standalone probe for `seqdiv serve-health`: one Health_request,
    optionally followed by a drain handshake (Drain_request, then wait
    for Drained once every shard queue has gone idle). *)
-let probe_health ~address ~encoding ~drain =
-  let link = link_connect address ~budget_s:15.0 encoding in
+let probe_health ~address ~drain =
+  let link = link_connect address ~budget_s:15.0 in
   send_request link Frame.Health_request;
   let health =
     match recv_response link with

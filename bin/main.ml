@@ -214,25 +214,28 @@ let open_journal params journal resume =
           prerr_endline ("seqdiv: " ^ msg);
           exit 2)
 
-(* Honest exit status: a map with failed cells is a partial result and
+(* Honest exit status: a run with failed cells is a partial result and
    must not exit 0.  One summary line on stderr; 2 by default, 1 under
    --strict. *)
+let partial_failure ~strict what =
+  Printf.eprintf "seqdiv: partial failure: %s\n%!" what;
+  exit (if strict then 1 else 2)
+
 let check_failures ~strict maps =
   let failed =
     List.fold_left
       (fun acc m -> acc + List.length (Performance_map.failed_cells m))
       0 maps
   in
-  if failed > 0 then begin
+  if failed > 0 then
     let total =
       List.fold_left (fun acc m -> acc + Performance_map.cell_count m) 0 maps
     in
-    Printf.eprintf
-      "seqdiv: partial failure: %d of %d cell(s) failed after retries (rerun \
-       with --journal FILE --resume to retry only those)\n%!"
-      failed total;
-    exit (if strict then 1 else 2)
-  end
+    partial_failure ~strict
+      (Printf.sprintf
+         "%d of %d cell(s) failed after retries (rerun with --journal FILE \
+          --resume to retry only those)"
+         failed total)
 
 let setup_logging verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -824,10 +827,17 @@ let lnb_cmd =
 
 (* --- ablation / extensions --------------------------------------------- *)
 
+(* The sections' maps are not kept, so the engine's count of failed
+   cells decides the exit status. *)
 let sections_cmd name ~doc ~what sections =
   let run params eng sections =
     with_engine eng @@ fun engine ->
-    print_sections (context engine params) sections
+    print_sections (context engine params) sections;
+    match (Engine.stats engine).Engine.cells_failed with
+    | 0 -> ()
+    | failed ->
+        partial_failure ~strict:false
+          (Printf.sprintf "%d cell(s) failed after retries" failed)
   in
   Cmd.v (Cmd.info name ~exits ~doc)
     Term.(const run $ params_t $ engine_t $ which_t ~what sections)
@@ -1284,7 +1294,7 @@ let serve_cmd =
       Option.map
         (fun seed ->
           match
-            Fault_plan.Serve.of_seed ~crash_rate:chaos_crash
+            Fault_plan.of_seed ~transient_rate:chaos_crash
               ~hang_rate:chaos_hang ~torn_rate:chaos_torn ~sticky:chaos_sticky
               ~seed ()
           with
@@ -1351,7 +1361,7 @@ let serve_cmd =
         | Serve.Tcp (host, port) -> Printf.sprintf "%s:%d" host port)
         shards;
       Option.iter
-        (fun plan -> Printf.printf "%s\n%!" (Fault_plan.Serve.describe plan))
+        (fun plan -> Printf.printf "%s\n%!" (Fault_plan.describe plan))
         chaos
     in
     match Serve.run ~on_ready config with
@@ -1526,7 +1536,7 @@ let serve_cmd =
       $ chaos_sticky_t $ threshold_t $ alarm_budget_t)
 
 let serve_bench_cmd =
-  let run verbose socket tcp ndjson sessions session_length rounds connections
+  let run verbose socket tcp sessions session_length rounds connections
       chunk batch_events inflight window anomaly_size anomalous_every seed
       train_len reconnect stall_ms incident_log quit =
     setup_logging verbose;
@@ -1534,7 +1544,6 @@ let serve_bench_cmd =
     let options =
       {
         Bench_client.address;
-        encoding = (if ndjson then Frame.Ndjson else Frame.Binary);
         sessions;
         session_length;
         rounds;
@@ -1558,12 +1567,6 @@ let serve_bench_cmd =
     | exception Bench_client.Protocol_failure msg ->
         Printf.eprintf "seqdiv: serve-bench failed: %s\n" msg;
         exit 1
-  in
-  let ndjson_t =
-    Arg.(
-      value & flag
-      & info [ "ndjson" ]
-          ~doc:"Speak the newline-delimited JSON framing instead of binary.")
   in
   let sessions_t =
     Arg.(
@@ -1662,16 +1665,15 @@ let serve_bench_cmd =
           failed batches, reconnects).  Performance is measured by \
           perfbench, not here.")
     Term.(
-      const run $ verbose_t $ socket_t $ tcp_t $ ndjson_t $ sessions_t
+      const run $ verbose_t $ socket_t $ tcp_t $ sessions_t
       $ session_length_t $ rounds_t $ connections_t $ chunk_t $ batch_events_t
       $ inflight_t $ window_t $ anomaly_size_t $ anomalous_every_t $ seed_t
       $ train_len_t $ reconnect_t $ stall_ms_t $ incident_log_t $ quit_t)
 
 let serve_health_cmd =
-  let run socket tcp ndjson drain =
+  let run socket tcp drain =
     let address = address_of socket tcp in
-    let encoding = if ndjson then Frame.Ndjson else Frame.Binary in
-    match Bench_client.probe_health ~address ~encoding ~drain with
+    match Bench_client.probe_health ~address ~drain with
     | health, drained ->
         print_string (Frame.render_health health);
         Option.iter
@@ -1684,12 +1686,6 @@ let serve_health_cmd =
         Printf.eprintf "seqdiv: serve-health failed: %s\n"
           (Unix.error_message err);
         exit 1
-  in
-  let ndjson_t =
-    Arg.(
-      value & flag
-      & info [ "ndjson" ]
-          ~doc:"Speak the newline-delimited JSON framing instead of binary.")
   in
   let drain_t =
     Arg.(
@@ -1704,7 +1700,7 @@ let serve_health_cmd =
        ~doc:
          "Probe a running $(b,seqdiv serve): per-shard liveness, restart \
           counts, degradation, queue depths and the adaptive retry hints.")
-    Term.(const run $ socket_t $ tcp_t $ ndjson_t $ drain_t)
+    Term.(const run $ socket_t $ tcp_t $ drain_t)
 
 (* --- main -------------------------------------------------------------- *)
 

@@ -199,7 +199,19 @@ let supervised_thunks t pool tasks =
                 thunk ()))
           pending
       in
-      let injected = ref 0 in
+      (* Every task the plan fates this attempt counts as injected,
+         whether it raised [Fault.Injected] or hung until its deadline
+         fired.  [decide] is pure, so asking again here is exact. *)
+      let injected =
+        match t.fault_plan with
+        | None -> 0
+        | Some plan ->
+            List.length
+              (List.filter
+                 (fun i ->
+                   Fault_plan.decide plan ~key:(fst arr.(i)) ~attempt <> None)
+                 pending)
+      in
       let again =
         List.concat
           (List.map2
@@ -209,9 +221,6 @@ let supervised_thunks t pool tasks =
                    results.(i) <- Some (Ok v);
                    []
                | Error { Pool.exn; backtrace; _ } ->
-                   (match exn with
-                   | Fault.Injected _ -> incr injected
-                   | _ -> ());
                    if Fault.classify exn = Fault.Transient && attempt < t.retries
                    then [ i ]
                    else begin
@@ -224,7 +233,7 @@ let supervised_thunks t pool tasks =
       t.stats <-
         {
           t.stats with
-          faults_injected = t.stats.faults_injected + !injected;
+          faults_injected = t.stats.faults_injected + injected;
           retries = t.stats.retries + List.length again;
         };
       if again <> [] then

@@ -129,7 +129,9 @@ type stats = {
       (** trie-capable models served as views of an already-built trie
           (rather than triggering a trie construction) *)
   trie_nodes : int;  (** total nodes across all constructed tries *)
-  faults_injected : int;  (** chaos-plan faults that actually fired *)
+  faults_injected : int;
+      (** task executions the chaos plan fated: injected faults and
+          hangs *)
   retries : int;  (** task re-executions granted by the supervisor *)
   cells_failed : int;
       (** cells degraded to {!Outcome.Failed} (score faults and cells

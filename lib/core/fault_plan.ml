@@ -10,6 +10,7 @@ type t = {
   transient_rate : float;
   fatal_rate : float;
   hang_rate : float;
+  torn_rate : float;
   sticky : int;
 }
 
@@ -19,13 +20,21 @@ let check_rate name r =
     invalid_arg (Printf.sprintf "Fault_plan.of_seed: %s not in [0, 1]" name)
 
 let of_seed ?(transient_rate = 0.05) ?(fatal_rate = 0.0) ?(hang_rate = 0.0)
-    ?(sticky = 1) ~seed () =
+    ?(torn_rate = 0.0) ?(sticky = 1) ~seed () =
   check_rate "transient_rate" transient_rate;
   check_rate "fatal_rate" fatal_rate;
   check_rate "hang_rate" hang_rate;
   check_rate "transient_rate + fatal_rate + hang_rate"
     (transient_rate +. fatal_rate +. hang_rate);
-  { seed; transient_rate; fatal_rate; hang_rate; sticky = Stdlib.max 1 sticky }
+  check_rate "torn_rate" torn_rate;
+  {
+    seed;
+    transient_rate;
+    fatal_rate;
+    hang_rate;
+    torn_rate;
+    sticky = Stdlib.max 1 sticky;
+  }
 
 let seed t = t.seed
 let transient_rate t = t.transient_rate
@@ -69,87 +78,27 @@ let trip t ~key ~attempt =
              Printf.sprintf "chaos seed=%d key=0x%Lx attempt=%d" t.seed key
                attempt ))
 
+(* Serve-layer keys.  A sub-batch is (batch id, shard); the key of its
+   response frame inverts the bits, so job fates and frame fates hash
+   disjoint key spaces and one seed drives both without correlation. *)
+let job_key ~batch_id ~shard =
+  Int64.logxor
+    (Int64.shift_left (Int64.of_int shard) 48)
+    (Int64.of_int batch_id)
+
+let frame_key ~batch_id ~shard = Int64.lognot (job_key ~batch_id ~shard)
+
+let tear t ~key ~attempt = attempt = 0 && uniform t.seed key < t.torn_rate
+
 let describe t =
   Printf.sprintf
-    "chaos plan: seed=%d transient=%.3f fatal=%.3f hang=%.3f sticky=%d \
+    "chaos plan: seed=%d transient=%.3f fatal=%.3f hang=%.3f%s sticky=%d \
      attempt(s)"
-    t.seed t.transient_rate t.fatal_rate t.hang_rate t.sticky
+    t.seed t.transient_rate t.fatal_rate t.hang_rate
+    (if t.torn_rate > 0.0 then Printf.sprintf " torn=%.3f" t.torn_rate else "")
+    t.sticky
 
 (* A public window onto the same stateless hash, for consumers that
    need deterministic per-key randomness outside a fault decision —
    e.g. the bench client's backoff jitter. *)
 let jitter ~seed ~key = uniform seed key
-
-(* --- serve-layer chaos --------------------------------------------------- *)
-
-(* The serve band reuses the stateless (seed, key, attempt) discipline
-   but speaks the serve layer's failure modes: a shard domain dying
-   outside the per-batch handler, a shard hanging, and a response frame
-   torn on the wire.  Job fates and frame fates hash disjoint key
-   spaces (the key builders differ), so one seed drives both without
-   correlation. *)
-module Serve = struct
-  type t = {
-    seed : int;
-    crash_rate : float;
-    hang_rate : float;
-    torn_rate : float;
-    sticky : int;
-  }
-
-  type job_fate = Crash | Hang
-
-  let of_seed ?(crash_rate = 0.0) ?(hang_rate = 0.0) ?(torn_rate = 0.0)
-      ?(sticky = 1) ~seed () =
-    check_rate "crash_rate" crash_rate;
-    check_rate "hang_rate" hang_rate;
-    check_rate "crash_rate + hang_rate" (crash_rate +. hang_rate);
-    check_rate "torn_rate" torn_rate;
-    { seed; crash_rate; hang_rate; torn_rate; sticky = Stdlib.max 1 sticky }
-
-  let seed (t : t) = t.seed
-  let crash_rate (t : t) = t.crash_rate
-  let hang_rate (t : t) = t.hang_rate
-  let torn_rate (t : t) = t.torn_rate
-  let sticky (t : t) = t.sticky
-
-  (* Stable fingerprints: a sub-batch is (batch id, shard); the frame
-     key inverts the bits to land in a disjoint space before mixing. *)
-  let job_key ~batch_id ~shard =
-    Int64.logxor
-      (Int64.shift_left (Int64.of_int shard) 48)
-      (Int64.of_int batch_id)
-
-  let frame_key ~batch_id ~shard = Int64.lognot (job_key ~batch_id ~shard)
-
-  let job_fate (t : t) ~key ~attempt =
-    let u = uniform t.seed key in
-    if u < t.hang_rate then Some Hang
-    else if u < t.hang_rate +. t.crash_rate && attempt < t.sticky then
-      Some Crash
-    else None
-
-  let trip t ~key ~attempt =
-    match job_fate t ~key ~attempt with
-    | None -> ()
-    | Some Hang ->
-        (* Spin until the shard's armed deadline fires; with no armed
-           deadline this raises [Deadline.Hang_refused] (Fatal) rather
-           than actually wedging the domain. *)
-        Seqdiv_util.Deadline.hang ()
-    | Some Crash ->
-        raise
-          (Fault.Injected
-             ( Fault.Transient,
-               Printf.sprintf "serve chaos seed=%d key=0x%Lx attempt=%d" t.seed
-                 key attempt ))
-
-  let tear (t : t) ~key ~attempt =
-    attempt = 0 && uniform t.seed key < t.torn_rate
-
-  let describe (t : t) =
-    Printf.sprintf
-      "serve chaos plan: seed=%d crash=%.3f hang=%.3f torn=%.3f sticky=%d \
-       attempt(s)"
-      t.seed t.crash_rate t.hang_rate t.torn_rate t.sticky
-end

@@ -1,5 +1,6 @@
 (** Seeded fault-injection plans — the chaos harness the supervision
-    tests and the CLI's [--chaos SEED] drive.
+    tests, the experiment commands' [--chaos SEED] and
+    [seqdiv serve --chaos-serve SEED] drive.
 
     A plan deterministically decides, per task, whether that task's
     execution raises {!Fault.Injected}.  Decisions are a {e stateless}
@@ -8,7 +9,8 @@
     in every scheduling order, and across kill-and-resume runs.  Task
     keys are stable fingerprints of task content (detector, window,
     cell), assigned by the engine — never positional indices, which
-    would shift under [--resume].
+    would shift under [--resume].  The serve layer keys a sub-batch by
+    {!job_key} and its response frame by {!frame_key}.
 
     Fate of a task under a plan, by its key's hash [u ∈ [0, 1)]:
     - [u < fatal_rate] — fails {!Fault.Fatal} on {e every} attempt;
@@ -18,7 +20,13 @@
       [Deadline.Hang_refused] when no deadline is armed;
     - [u < fatal_rate + hang_rate + transient_rate] — fails
       {!Fault.Transient} on its first [sticky] attempts, then succeeds;
-    - otherwise — never faulted. *)
+    - otherwise — never faulted.
+
+    In [seqdiv serve] a transient fate is a shard domain dying before
+    the sub-batch applies (the supervisor restarts it from its
+    journal), and a hang is ended by the shard's armed deadline.
+    Independently, {!tear} decides whether a response frame is torn on
+    the wire. *)
 
 type t
 
@@ -26,6 +34,7 @@ val of_seed :
   ?transient_rate:float ->
   ?fatal_rate:float ->
   ?hang_rate:float ->
+  ?torn_rate:float ->
   ?sticky:int ->
   seed:int ->
   unit ->
@@ -38,8 +47,11 @@ val of_seed :
     keep [sticky] at most the engine's retry budget to prove full
     recovery, or raise it beyond to exercise budget exhaustion.  A
     hang-fated task requires a deadline armed around task execution
-    ([Engine.create ~deadline]) to terminate at all.
-    @raise Invalid_argument if a rate (or their sum) leaves [0, 1]. *)
+    ([Engine.create ~deadline]) to terminate at all.  [torn_rate]
+    (default 0) is the fraction of serve response frames {!tear}
+    tears.
+    @raise Invalid_argument if a rate, or the sum of the transient,
+    fatal and hang rates, leaves [0, 1]. *)
 
 val seed : t -> int
 val transient_rate : t -> float
@@ -58,73 +70,25 @@ val trip : t -> key:int64 -> attempt:int -> unit
     for the rest.  Injected payloads name seed, key and attempt, so
     rendered faults are deterministic. *)
 
+val job_key : batch_id:int -> shard:int -> int64
+(** Stable fingerprint of one serve sub-batch (the unit a shard domain
+    executes). *)
+
+val frame_key : batch_id:int -> shard:int -> int64
+(** Fingerprint of that sub-batch's response frame, in a key space
+    disjoint from {!job_key}. *)
+
+val tear : t -> key:int64 -> attempt:int -> bool
+(** Whether to tear this response frame on the wire: [torn_rate] of
+    frame keys, and only at [attempt = 0], so the resend after the
+    client reconnects goes through clean and torn-frame chaos always
+    converges. *)
+
 val describe : t -> string
-(** One-line human rendering, for [--chaos] banners. *)
+(** One-line human rendering, for the [--chaos] and [--chaos-serve]
+    banners. *)
 
 val jitter : seed:int -> key:int64 -> float
 (** The plan hash as a public uniform draw in [[0, 1)]: deterministic
     per-key randomness for consumers outside a fault decision (e.g. the
     bench client's backoff jitter).  Pure; safe from any domain. *)
-
-(** Serve-layer chaos: the same stateless (seed, key, attempt) hash
-    discipline, speaking the serve layer's failure modes — a shard
-    domain dying outside the per-batch handler ([Crash], injected as
-    {!Fault.Transient} so the supervisor restarts it), a shard hang
-    ([Hang], terminated by the shard's armed deadline or refused as
-    Fatal), and a response frame torn on the wire ([tear]).  Job fates
-    and frame fates hash disjoint key spaces, so one seed drives both
-    without correlation. *)
-module Serve : sig
-  type t
-
-  type job_fate = Crash | Hang
-
-  val of_seed :
-    ?crash_rate:float ->
-    ?hang_rate:float ->
-    ?torn_rate:float ->
-    ?sticky:int ->
-    seed:int ->
-    unit ->
-    t
-  (** [of_seed ~seed ()] is a serve plan crashing the shard domain on
-      [crash_rate] of sub-batches (first [sticky] attempts only, so a
-      supervisor with restart budget ≥ [sticky] fully recovers),
-      hanging it on [hang_rate] of sub-batches (every attempt), and
-      tearing [torn_rate] of response frames (first write only — the
-      resend after reconnect passes).  All rates default to 0.
-      @raise Invalid_argument if a rate (or [crash_rate + hang_rate])
-      leaves [0, 1]. *)
-
-  val seed : t -> int
-  val crash_rate : t -> float
-  val hang_rate : t -> float
-  val torn_rate : t -> float
-  val sticky : t -> int
-
-  val job_key : batch_id:int -> shard:int -> int64
-  (** Stable fingerprint of one sub-batch (the unit a shard domain
-      executes). *)
-
-  val frame_key : batch_id:int -> shard:int -> int64
-  (** Fingerprint of that sub-batch's response frame, in a key space
-      disjoint from {!job_key}. *)
-
-  val job_fate : t -> key:int64 -> attempt:int -> job_fate option
-  (** The injection decision for one execution of a sub-batch.  Pure;
-      safe from any domain. *)
-
-  val trip : t -> key:int64 -> attempt:int -> unit
-  (** Act on {!job_fate}: raise {!Fault.Injected} [(Transient, _)] for
-      crash fates, spin on {!Seqdiv_util.Deadline.hang} for hang fates
-      (raising [Deadline.Hang_refused] when no deadline is armed),
-      return for the rest. *)
-
-  val tear : t -> key:int64 -> attempt:int -> bool
-  (** Whether to tear this response frame on the wire.  Only
-      [attempt = 0] ever tears: the resend after the client reconnects
-      goes through clean, so torn-frame chaos always converges. *)
-
-  val describe : t -> string
-  (** One-line human rendering, for [--chaos-serve] banners. *)
-end

@@ -35,7 +35,7 @@ type config = {
   max_connections : int;
   max_restarts : int;
   write_timeout_ms : int;
-  chaos : Fault_plan.Serve.t option;
+  chaos : Fault_plan.t option;
 }
 
 let default_queue_capacity = 64
@@ -115,10 +115,6 @@ let channel_length ch =
 type conn = {
   fd : Unix.file_descr;
   out : Frame.response channel;
-  (* Sniffed by the reader from the first byte, read by the writer; no
-     response can be produced before the first request decoded, so the
-     writer always observes the set value. *)
-  encoding : Frame.encoding option Atomic.t;
   (* Set by the reader thread once the peer's write side is gone, read
      by the accept loop to reap the connection's threads and fd so a
      long-lived server admits an unbounded sequence of clients under a
@@ -194,7 +190,7 @@ type server = {
   drain_lock : Mutex.t;
   mutable drain_waiters : conn list;
   (* Response frames already torn once by the chaos plan, keyed by
-     {!Fault_plan.Serve.frame_key}: the resend after the client
+     {!Fault_plan.frame_key}: the resend after the client
      reconnects must pass, so torn-frame chaos always converges. *)
   torn_lock : Mutex.t;
   torn : (int64, unit) Hashtbl.t;
@@ -267,6 +263,7 @@ let sample t sh =
       p50_batch_ns = p50;
       p99_batch_ns = percentile sorted n 0.99;
       restarts = sh.restarts;
+      alive = (sh.degraded = None && sh.poison = None);
       degraded = sh.degraded <> None;
       retry_after_ms =
         retry_hint ~floor:t.cfg.retry_after_ms ~p50_ns:p50 ~queue_depth;
@@ -281,37 +278,8 @@ let sample t sh =
 let sample_all t = Array.to_list (Array.map (sample t) t.shard_tab)
 
 let sample_health t =
-  let shards_health =
-    Array.to_list
-      (Array.map
-         (fun sh ->
-           let h_queue_depth = channel_length sh.queue in
-           Mutex.lock sh.stats_lock;
-           let h_degraded = sh.degraded <> None in
-           let h_alive = (not h_degraded) && sh.poison = None in
-           let h_restarts = sh.restarts in
-           let p50_ns = sh.cached_p50_ns in
-           let h_windows = sh.pub_windows in
-           let h_alarms = sh.pub_alarms in
-           let h_threshold = sh.pub_threshold in
-           Mutex.unlock sh.stats_lock;
-           {
-             Frame.h_shard = sh.index;
-             h_alive;
-             h_degraded;
-             h_restarts;
-             h_queue_depth;
-             h_retry_after_ms =
-               retry_hint ~floor:t.cfg.retry_after_ms ~p50_ns
-                 ~queue_depth:h_queue_depth;
-             h_windows;
-             h_alarms;
-             h_threshold;
-           })
-         t.shard_tab)
-  in
   {
-    Frame.shards_health;
+    Frame.shards = sample_all t;
     connections = Atomic.get t.live_conns;
     evictions = Atomic.get t.evictions;
     draining = Atomic.get t.draining;
@@ -434,8 +402,6 @@ let reader_loop t conn =
        if n = 0 then finished := true
        else begin
          Frame.feed_bytes r buf ~pos:0 ~len:n;
-         if Atomic.get conn.encoding = None then
-           Atomic.set conn.encoding (Frame.reader_encoding r);
          let rec drain () =
            if not !finished then
              match Frame.next_request r with
@@ -490,10 +456,10 @@ let should_tear t = function
       match t.cfg.chaos with
       | None -> false
       | Some plan ->
-          let key = Fault_plan.Serve.frame_key ~batch_id:id ~shard in
+          let key = Fault_plan.frame_key ~batch_id:id ~shard in
           Mutex.lock t.torn_lock;
           let attempt = if Hashtbl.mem t.torn key then 1 else 0 in
-          let tear = Fault_plan.Serve.tear plan ~key ~attempt in
+          let tear = Fault_plan.tear plan ~key ~attempt in
           if tear then Hashtbl.replace t.torn key ();
           Mutex.unlock t.torn_lock;
           tear)
@@ -503,8 +469,7 @@ let writer_loop t conn =
   let b = Buffer.create 8192 in
   let send response =
     Buffer.clear b;
-    let enc = Option.value (Atomic.get conn.encoding) ~default:Frame.Binary in
-    Frame.write_response b enc response;
+    Frame.write_response b Frame.Binary response;
     let bytes = Buffer.to_bytes b in
     if should_tear t response then begin
       (* Half a frame, then eviction: the client sees a truncated frame
@@ -589,12 +554,10 @@ let process t sh (job : job) =
   (match t.cfg.chaos with
   | None -> ()
   | Some plan ->
-      let key =
-        Fault_plan.Serve.job_key ~batch_id:job.batch_id ~shard:sh.index
-      in
+      let key = Fault_plan.job_key ~batch_id:job.batch_id ~shard:sh.index in
       let attempt = job.attempts in
       job.attempts <- job.attempts + 1;
-      let trip () = Fault_plan.Serve.trip plan ~key ~attempt in
+      let trip () = Fault_plan.trip plan ~key ~attempt in
       (* A hang fate spins inside the armed per-batch deadline when one
          is configured (surfacing as Timeout); with none it raises
          [Hang_refused] (Fatal) instead of wedging the domain. *)
@@ -948,7 +911,6 @@ let run ?(on_ready = fun () -> ()) cfg =
                 {
                   fd;
                   out = channel ();
-                  encoding = Atomic.make None;
                   reader_done = Atomic.make false;
                   evicted = Atomic.make false;
                 }

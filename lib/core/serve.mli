@@ -100,9 +100,11 @@ type config = {
   write_timeout_ms : int;
       (** per-write stall budget (> 0); a client whose socket cannot
           absorb a response within it is evicted *)
-  chaos : Fault_plan.Serve.t option;
+  chaos : Fault_plan.t option;
       (** seeded serve-layer fault injection ([--chaos-serve]), off by
-          default *)
+          default: transient fates crash the shard domain before the
+          sub-batch applies, hang fates spin until [deadline] fires,
+          and [torn_rate] of ack frames are torn on the wire *)
 }
 
 val default_queue_capacity : int

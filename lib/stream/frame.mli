@@ -1,22 +1,16 @@
 (** Wire framing for the serve layer.
 
-    A pure codec — no sockets, no side effects — for the two formats a
-    [seqdiv serve] connection may speak:
-
-    - {e binary}: each frame is a magic byte, a little-endian [u32]
-      payload length, and the payload; symbols travel as raw bytes (one
-      per symbol, codes 0..254).  Compact and allocation-light — the
-      load generator's format.
-    - {e ndjson}: one JSON object per line.  Self-describing and
-      greppable — the debugging format.
-
-    The format is sniffed from the first byte a connection sends (JSON
-    objects start with ['{'], binary frames with {!binary_magic}), so a
-    server needs no negotiation step.  Requests flow client-to-server,
+    A pure codec — no sockets, no side effects — for the one format a
+    [seqdiv serve] connection speaks: each frame is a magic byte
+    ({!binary_magic}), a little-endian [u32] payload length, and the
+    payload.  Integers travel as little-endian 64-bit words, scores and
+    thresholds as their IEEE-754 bits, and symbols as raw bytes (one
+    per symbol, codes 0..254).  Requests flow client-to-server,
     responses server-to-client; both directions use the same framing.
 
     Malformed input raises {!Parse_error.Error} naming the offending
-    datum, never an anonymous [Failure]. *)
+    datum, never an anonymous [Failure]; a reader refuses a frame
+    whose first byte is not the magic as soon as that byte arrives. *)
 
 (** {1 Protocol types} *)
 
@@ -54,33 +48,21 @@ type shard_stats = {
   p50_batch_ns : int;  (** median recent sub-batch service time *)
   p99_batch_ns : int;  (** 99th-percentile recent service time *)
   restarts : int;  (** supervisor restarts of this shard's domain *)
+  alive : bool;  (** the shard domain is running (or restartable) *)
   degraded : bool;  (** the shard took a fatal fault and serves [Failed] *)
   retry_after_ms : int;  (** current adaptive backpressure hint *)
   windows : int;  (** completed windows judged (departed + resident) *)
-  alarms : int;  (** windows that alarmed *)
+  alarms : int;
+      (** windows that alarmed — the observed alarm rate is
+          [alarms /. windows] *)
   threshold : float;
       (** published alarm threshold: the configured constant, or the max
           over resident adaptive controllers (wire-encoded as exact
           bits, so stats roundtrip losslessly) *)
 }
 
-type shard_health = {
-  h_shard : int;
-  h_alive : bool;  (** the shard domain is running (or restartable) *)
-  h_degraded : bool;  (** fatal fault: batches answered [Failed] *)
-  h_restarts : int;
-  h_queue_depth : int;
-  h_retry_after_ms : int;
-  h_windows : int;  (** completed windows judged by the shard *)
-  h_alarms : int;  (** windows that alarmed — observed alarm rate is
-                       [h_alarms /. h_windows] *)
-  h_threshold : float;  (** published alarm threshold (exact bits on
-                            the wire) *)
-}
-(** One shard's row in a {!health} readiness report. *)
-
 type health = {
-  shards_health : shard_health list;
+  shards : shard_stats list;  (** one row per shard, as in {!Stats} *)
   connections : int;  (** live client connections *)
   evictions : int;  (** slow clients evicted since start *)
   draining : bool;  (** a drain handshake is in progress *)
@@ -135,10 +117,13 @@ val shard_of_session : shards:int -> int -> int
 
 (** {1 Encoding} *)
 
-type encoding = Binary | Ndjson
+type encoding = Binary
+(** The one wire encoding.  The type and the [encoding] argument of the
+    writers are kept so that existing callers (the perfbench harness)
+    compile unchanged. *)
 
 val binary_magic : char
-(** First byte of every binary frame (also the sniff byte). *)
+(** First byte of every frame. *)
 
 val write_request : Buffer.t -> encoding -> request -> unit
 val write_response : Buffer.t -> encoding -> response -> unit
@@ -149,13 +134,10 @@ val write_response : Buffer.t -> encoding -> response -> unit
 (** {1 Incremental decoding} *)
 
 type reader
-(** Per-connection decode state: buffers raw bytes, sniffs the
-    encoding from the first byte, and yields complete frames. *)
+(** Per-connection decode state: buffers raw bytes and yields complete
+    frames. *)
 
 val reader : unit -> reader
-
-val reader_encoding : reader -> encoding option
-(** The sniffed encoding; [None] until the first byte arrives. *)
 
 val feed_bytes : reader -> bytes -> pos:int -> len:int -> unit
 (** Append a chunk read from the connection. *)
@@ -164,9 +146,10 @@ val next_request : reader -> request option
 val next_response : reader -> response option
 (** Decode the next complete frame, or [None] when more bytes are
     needed.  A reader is used for one direction only.
-    @raise Parse_error.Error on malformed input (bad magic, oversized
-    frame, unknown tag, symbol out of range, empty batch, trailing
-    payload bytes). *)
+    @raise Parse_error.Error on malformed input (bad magic, checked on
+    a frame's first byte alone; oversized frame; unknown tag; symbol
+    out of range; empty batch; a count larger than the payload can
+    hold; truncated or trailing payload bytes). *)
 
 (** {1 Incident-log rendering} *)
 

@@ -146,6 +146,16 @@ echo "deadline smoke test: OK"
 "$bin" full -j 4 --chaos 7 --trace > "$tmp/chaos.out" 2> "$tmp/chaos.err"
 diff -u "$tmp/golden/full.txt" "$tmp/chaos.out"
 grep -q 'supervision: [1-9][0-9]* fault(s) injected' "$tmp/chaos.err"
+# Fatal faults fail cells, and `ablation` and `extensions` then report a
+# partial failure and exit 2, as `map` and `full` do.
+status=0
+"$bin" extensions --which e1 --train-len 20000 --background-len 3000 \
+  --chaos 7 --chaos-rate 0 --chaos-fatal 0.3 \
+  > /dev/null 2> "$tmp/sections.err" || status=$?
+[ "$status" -eq 2 ] || {
+  echo "sections partial failure: expected exit 2, got $status" >&2; exit 1; }
+grep -q '^seqdiv: partial failure: [1-9][0-9]* cell(s) failed' \
+  "$tmp/sections.err"
 echo "paper chaos test: OK"
 
 # Example programs: `dune build @all` compiles them, this runs them.

@@ -127,20 +127,29 @@ let gen_health () =
     batches;
   let health =
     {
-      Frame.shards_health =
+      Frame.shards =
         Array.to_list
           (Array.map
              (fun table ->
                {
-                 Frame.h_shard = Session_table.shard table;
-                 h_alive = true;
-                 h_degraded = false;
-                 h_restarts = 0;
-                 h_queue_depth = 0;
-                 h_retry_after_ms = 0;
-                 h_windows = Session_table.windows_scored table;
-                 h_alarms = Session_table.alarm_windows table;
-                 h_threshold = Session_table.current_threshold table;
+                 Frame.shard = Session_table.shard table;
+                 sessions_resident = Session_table.sessions_resident table;
+                 events = Session_table.events_applied table;
+                 symbols = Session_table.symbols_applied table;
+                 batches = Session_table.batches_applied table;
+                 rejected = 0;
+                 queue_depth = 0;
+                 bytes_resident = Session_table.bytes_resident table;
+                 busy_ns = 0;
+                 p50_batch_ns = 0;
+                 p99_batch_ns = 0;
+                 restarts = 0;
+                 alive = true;
+                 degraded = false;
+                 retry_after_ms = 0;
+                 windows = Session_table.windows_scored table;
+                 alarms = Session_table.alarm_windows table;
+                 threshold = Session_table.current_threshold table;
                })
              tables);
       connections = 1;

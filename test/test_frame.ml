@@ -1,8 +1,8 @@
-(* The serve wire codec: binary and ndjson frames must roundtrip
-   bit-exactly (scores travel as bits), decode incrementally from
-   arbitrarily fragmented input, sniff their encoding from the first
-   byte, and reject malformed input with Parse_error — never a silent
-   misparse. *)
+(* The serve wire codec: frames must roundtrip bit-exactly (scores
+   and thresholds travel as bits), decode incrementally from
+   arbitrarily fragmented input, and reject malformed input with
+   Parse_error — never a silent misparse, and a foreign first byte as
+   soon as it arrives. *)
 
 open Seqdiv_stream
 open Seqdiv_test_support
@@ -51,13 +51,30 @@ let request_equal a b =
       true
   | _ -> false
 
-let shard_health_equal (a : Frame.shard_health) (b : Frame.shard_health) =
-  a.Frame.h_shard = b.Frame.h_shard
-  && a.Frame.h_alive = b.Frame.h_alive
-  && a.Frame.h_degraded = b.Frame.h_degraded
-  && a.Frame.h_restarts = b.Frame.h_restarts
-  && a.Frame.h_queue_depth = b.Frame.h_queue_depth
-  && a.Frame.h_retry_after_ms = b.Frame.h_retry_after_ms
+(* Every field, the threshold by its bits: structural equality would
+   call -0.0 and 0.0 the same threshold. *)
+let shard_stats_equal (a : Frame.shard_stats) (b : Frame.shard_stats) =
+  a.Frame.shard = b.Frame.shard
+  && a.Frame.sessions_resident = b.Frame.sessions_resident
+  && a.Frame.events = b.Frame.events
+  && a.Frame.symbols = b.Frame.symbols
+  && a.Frame.batches = b.Frame.batches
+  && a.Frame.rejected = b.Frame.rejected
+  && a.Frame.queue_depth = b.Frame.queue_depth
+  && a.Frame.bytes_resident = b.Frame.bytes_resident
+  && a.Frame.busy_ns = b.Frame.busy_ns
+  && a.Frame.p50_batch_ns = b.Frame.p50_batch_ns
+  && a.Frame.p99_batch_ns = b.Frame.p99_batch_ns
+  && a.Frame.restarts = b.Frame.restarts
+  && a.Frame.alive = b.Frame.alive
+  && a.Frame.degraded = b.Frame.degraded
+  && a.Frame.retry_after_ms = b.Frame.retry_after_ms
+  && a.Frame.windows = b.Frame.windows
+  && a.Frame.alarms = b.Frame.alarms
+  && Int64.equal (bits a.Frame.threshold) (bits b.Frame.threshold)
+
+let shard_rows_equal a b =
+  List.length a = List.length b && List.for_all2 shard_stats_equal a b
 
 let response_equal a b =
   match (a, b) with
@@ -72,14 +89,12 @@ let response_equal a b =
   | ( Frame.Failed { id = ia; shard = sa; events = ea; reason = ra },
       Frame.Failed { id = ib; shard = sb; events = eb; reason = rb } ) ->
       ia = ib && sa = sb && ea = eb && ra = rb
-  | Frame.Stats a, Frame.Stats b -> a = b
+  | Frame.Stats a, Frame.Stats b -> shard_rows_equal a b
   | Frame.Health a, Frame.Health b ->
       a.Frame.connections = b.Frame.connections
       && a.Frame.evictions = b.Frame.evictions
       && a.Frame.draining = b.Frame.draining
-      && List.length a.Frame.shards_health = List.length b.Frame.shards_health
-      && List.for_all2 shard_health_equal a.Frame.shards_health
-           b.Frame.shards_health
+      && shard_rows_equal a.Frame.shards b.Frame.shards
   | Frame.Drained { batches = a }, Frame.Drained { batches = b } -> a = b
   | Frame.Error_msg a, Frame.Error_msg b -> a = b
   | _ -> false
@@ -105,23 +120,22 @@ let decode_all next ~step buf =
     | None -> ()
   in
   drain ();
-  (List.rev !decoded, Frame.reader_encoding r)
+  List.rev !decoded
 
-let roundtrip_requests encoding ~step requests =
+let roundtrip_requests ~step requests =
   let buf = Buffer.create 256 in
-  List.iter (fun q -> Frame.write_request buf encoding q) requests;
-  let decoded, sniffed = decode_all Frame.next_request ~step buf in
-  Alcotest.(check bool) "encoding sniffed" true (sniffed = Some encoding);
+  List.iter (fun q -> Frame.write_request buf Frame.Binary q) requests;
+  let decoded = decode_all Frame.next_request ~step buf in
   Alcotest.(check int) "all frames decoded" (List.length requests)
     (List.length decoded);
   List.iter2
     (fun a b -> Alcotest.(check bool) "request roundtrips" true (request_equal a b))
     requests decoded
 
-let roundtrip_responses encoding ~step responses =
+let roundtrip_responses ~step responses =
   let buf = Buffer.create 256 in
-  List.iter (fun r -> Frame.write_response buf encoding r) responses;
-  let decoded, _ = decode_all Frame.next_response ~step buf in
+  List.iter (fun r -> Frame.write_response buf Frame.Binary r) responses;
+  let decoded = decode_all Frame.next_response ~step buf in
   Alcotest.(check int) "all frames decoded" (List.length responses)
     (List.length decoded);
   List.iter2
@@ -159,6 +173,29 @@ let sample_requests =
     Frame.Quit;
   ]
 
+(* Every field distinct, so a codec that swaps two of them fails. *)
+let sample_stats =
+  {
+    Frame.shard = 0;
+    sessions_resident = 12;
+    events = 1000;
+    symbols = 64000;
+    batches = 4;
+    rejected = 1;
+    queue_depth = 2;
+    bytes_resident = 4096;
+    busy_ns = 123456789;
+    p50_batch_ns = 440_000;
+    p99_batch_ns = 6_572_000;
+    restarts = 2;
+    alive = true;
+    degraded = false;
+    retry_after_ms = 11;
+    windows = 900;
+    alarms = 17;
+    threshold = 1.0 /. 3.0;
+  }
+
 let sample_responses =
   [
     Frame.Ack
@@ -180,53 +217,20 @@ let sample_responses =
         events = 3;
         reason = "Deadline.Exceeded(budget=1ms)";
       };
-    Frame.Stats
-      [
-        {
-          Frame.shard = 0;
-          sessions_resident = 12;
-          events = 1000;
-          symbols = 64000;
-          batches = 4;
-          rejected = 1;
-          queue_depth = 2;
-          bytes_resident = 4096;
-          busy_ns = 123456789;
-          p50_batch_ns = 440_000;
-          p99_batch_ns = 6_572_000;
-          restarts = 2;
-          degraded = false;
-          retry_after_ms = 11;
-          windows = 900;
-          alarms = 17;
-          threshold = 1.0 /. 3.0;
-        };
-      ];
+    Frame.Stats [ sample_stats ];
     Frame.Health
       {
-        Frame.shards_health =
+        Frame.shards =
           [
+            { sample_stats with Frame.restarts = 1; threshold = 2.75 };
             {
-              Frame.h_shard = 0;
-              h_alive = true;
-              h_degraded = false;
-              h_restarts = 1;
-              h_queue_depth = 3;
-              h_retry_after_ms = 12;
-              h_windows = 450;
-              h_alarms = 9;
-              h_threshold = 2.75;
-            };
-            {
-              Frame.h_shard = 1;
-              h_alive = false;
-              h_degraded = true;
-              h_restarts = 3;
-              h_queue_depth = 0;
-              h_retry_after_ms = 5;
-              h_windows = 0;
-              h_alarms = 0;
-              h_threshold = -0.0;
+              sample_stats with
+              Frame.shard = 1;
+              alive = false;
+              degraded = true;
+              windows = 0;
+              alarms = 0;
+              threshold = -0.0;
             };
           ];
         connections = 4;
@@ -239,53 +243,27 @@ let sample_responses =
 
 let test_roundtrips () =
   List.iter
-    (fun encoding ->
-      List.iter
-        (fun step ->
-          roundtrip_requests encoding ~step sample_requests;
-          roundtrip_responses encoding ~step sample_responses)
-        [ 1; 3; 4096 ])
-    [ Frame.Binary; Frame.Ndjson ]
+    (fun step ->
+      roundtrip_requests ~step sample_requests;
+      roundtrip_responses ~step sample_responses)
+    [ 1; 3; 4096 ]
 
 let test_score_bits_roundtrip () =
-  (* ndjson carries the peak score as exact bits alongside the human
-     float; awkward values must survive both formats bit-for-bit. *)
+  (* Awkward peak scores must survive the wire bit-for-bit. *)
   List.iter
-    (fun encoding ->
-      List.iter
-        (fun score ->
-          let incident = { sample_incident with Frame.peak_score = score } in
-          roundtrip_responses encoding ~step:7
-            [
-              Frame.Ack
-                {
-                  id = 1;
-                  shard = 0;
-                  events = 1;
-                  incidents = [ Frame.Closed { session = 0; incident } ];
-                };
-            ])
-        [ 0.1; 1.0 /. 3.0; 1e-300; Float.max_float; 0.0; -0.0 ])
-    [ Frame.Binary; Frame.Ndjson ]
-
-let test_sniffing () =
-  let r = Frame.reader () in
-  Alcotest.(check bool) "no encoding before first byte" true
-    (Frame.reader_encoding r = None);
-  let buf = Buffer.create 16 in
-  Frame.write_request buf Frame.Ndjson Frame.Quit;
-  let s = Buffer.to_bytes buf in
-  Frame.feed_bytes r s ~pos:0 ~len:1;
-  Alcotest.(check bool) "'{' sniffs ndjson" true
-    (Frame.reader_encoding r = Some Frame.Ndjson);
-  let r2 = Frame.reader () in
-  let buf2 = Buffer.create 16 in
-  Frame.write_request buf2 Frame.Binary Frame.Quit;
-  let s2 = Buffer.to_bytes buf2 in
-  Alcotest.(check char) "binary magic leads" Frame.binary_magic (Bytes.get s2 0);
-  Frame.feed_bytes r2 s2 ~pos:0 ~len:1;
-  Alcotest.(check bool) "magic sniffs binary" true
-    (Frame.reader_encoding r2 = Some Frame.Binary)
+    (fun score ->
+      let incident = { sample_incident with Frame.peak_score = score } in
+      roundtrip_responses ~step:7
+        [
+          Frame.Ack
+            {
+              id = 1;
+              shard = 0;
+              events = 1;
+              incidents = [ Frame.Closed { session = 0; incident } ];
+            };
+        ])
+    [ 0.1; 1.0 /. 3.0; 1e-300; Float.max_float; 0.0; -0.0 ]
 
 let expect_parse_error name f =
   match f () with
@@ -298,17 +276,35 @@ let feed_string next s =
   Frame.feed_bytes r b ~pos:0 ~len:(Bytes.length b);
   next r
 
+(* Raw payload builders: one little-endian 64-bit word, and a complete
+   frame around a payload. *)
+let i64 v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int v);
+  Bytes.to_string b
+
+let frame payload =
+  let b = Bytes.create 5 in
+  Bytes.set b 0 Frame.binary_magic;
+  Bytes.set_int32_le b 1 (Int32.of_int (String.length payload));
+  Bytes.to_string b ^ payload
+
 let test_malformed () =
+  let bad name payload =
+    expect_parse_error name (fun () ->
+        feed_string Frame.next_request (frame payload))
+  in
   expect_parse_error "garbage first byte" (fun () ->
       feed_string Frame.next_request "hello\n");
-  expect_parse_error "bad json" (fun () ->
-      feed_string Frame.next_request "{\"type\": \n");
-  expect_parse_error "unknown ndjson type" (fun () ->
-      feed_string Frame.next_request "{\"type\":\"bogus\"}\n");
-  (* an empty batch is rejected on decode, both formats *)
-  expect_parse_error "empty ndjson batch" (fun () ->
-      feed_string Frame.next_request "{\"type\":\"batch\",\"id\":0,\"events\":[]}\n");
-  (* an oversized binary length prefix fails fast, before any payload *)
+  (* A lone byte other than the magic is refused at once, before the
+     reader waits for a length. *)
+  (match feed_string Frame.next_request "{" with
+  | _ -> Alcotest.fail "a lone '{' was not refused"
+  | exception Parse_error.Error msg ->
+      Alcotest.(check string) "names the byte" "Frame: bad frame magic 0x7b" msg);
+  expect_parse_error "a JSON line" (fun () ->
+      feed_string Frame.next_request "{\"type\":\"stats\"}\n");
+  (* an oversized length prefix fails fast, before any payload *)
   expect_parse_error "oversized frame" (fun () ->
       let b = Bytes.create 5 in
       Bytes.set b 0 Frame.binary_magic;
@@ -316,10 +312,28 @@ let test_malformed () =
       let r = Frame.reader () in
       Frame.feed_bytes r b ~pos:0 ~len:5;
       Frame.next_request r);
-  (* symbol out of range in ndjson *)
-  expect_parse_error "symbol 255" (fun () ->
-      feed_string Frame.next_request
-        "{\"type\":\"batch\",\"id\":0,\"events\":[{\"type\":\"data\",\"session\":0,\"symbols\":[255]}]}\n")
+  (* The raw builders make valid frames, so each case below fails on its
+     own defect, not on the framing. *)
+  let valid = frame ("B" ^ i64 7 ^ i64 1 ^ "e" ^ i64 3) in
+  (match feed_string Frame.next_request valid with
+  | Some (Frame.Batch { id = 7; events = [ Frame.End_of_session { session } ] })
+    ->
+      Alcotest.(check int) "valid raw batch" 3 session
+  | _ -> Alcotest.fail "the raw frame builder must build a valid batch");
+  bad "batch with zero events" ("B" ^ i64 0 ^ i64 0);
+  bad "symbol byte 255" ("B" ^ i64 0 ^ i64 1 ^ "d" ^ i64 0 ^ i64 1 ^ "\255");
+  bad "unknown request tag" "x";
+  bad "unknown event tag" ("B" ^ i64 0 ^ i64 1 ^ "z" ^ i64 0);
+  bad "trailing payload bytes" "S\000";
+  bad "event count larger than the payload"
+    ("B" ^ i64 0 ^ i64 1000 ^ "e" ^ i64 0);
+  bad "symbol count larger than the payload"
+    ("B" ^ i64 0 ^ i64 1 ^ "d" ^ i64 0 ^ i64 64 ^ "\001");
+  bad "truncated payload" ("B" ^ "\000\000");
+  bad "negative batch id" ("B" ^ i64 (-1) ^ i64 1 ^ "e" ^ i64 0);
+  expect_parse_error "health flag not 0 or 1" (fun () ->
+      feed_string Frame.next_response
+        (frame ("h" ^ i64 0 ^ i64 0 ^ i64 2 ^ i64 0)))
 
 let test_write_validation () =
   let buf = Buffer.create 16 in
@@ -374,7 +388,7 @@ let test_render_stable () =
     (Frame.render_incident_event
        (Frame.Closed { session = 9; incident = sample_incident }))
 
-(* {1 Property: arbitrary batches roundtrip through both codecs} *)
+(* {1 Property: arbitrary batches roundtrip} *)
 
 let gen_event =
   QCheck.Gen.(
@@ -398,51 +412,13 @@ let gen_batch =
 
 let arbitrary_batch = QCheck.make gen_batch
 
-let prop_roundtrip encoding name =
-  qcheck ~count:100 name arbitrary_batch (fun batch ->
+let prop_roundtrip =
+  qcheck ~count:100 "binary batches roundtrip" arbitrary_batch (fun batch ->
       let buf = Buffer.create 256 in
-      Frame.write_request buf encoding batch;
-      let decoded, _ = decode_all Frame.next_request ~step:5 buf in
-      match decoded with
+      Frame.write_request buf Frame.Binary batch;
+      match decode_all Frame.next_request ~step:5 buf with
       | [ decoded ] -> request_equal batch decoded
       | _ -> false)
-
-(* A long ndjson line that arrives in 64-byte chunks, decoded after
-   every chunk as a connection reader does, must decode in time linear
-   in its length: the newline search resumes where the last one
-   stopped.  The cap is loose (about 0.1 s here); a reader that rescans
-   the line from its start on every chunk needs several seconds. *)
-let test_trickled_ndjson_line () =
-  let events =
-    List.init 128 (fun session ->
-        Frame.Data
-          { session; symbols = Array.init 1000 (fun i -> (i * 7) mod 255) })
-  in
-  let batch = Frame.Batch { id = 7; events } in
-  let buf = Buffer.create (1 lsl 19) in
-  Frame.write_request buf Frame.Ndjson batch;
-  let line = Buffer.to_bytes buf in
-  let n = Bytes.length line in
-  Alcotest.(check bool) "a line of 400 KB or more" true (n >= 400_000);
-  let whole, _ = decode_all Frame.next_request ~step:n buf in
-  let r = Frame.reader () in
-  let decoded = ref [] in
-  let t0 = Sys.time () in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = Stdlib.min 64 (n - !pos) in
-    Frame.feed_bytes r line ~pos:!pos ~len;
-    pos := !pos + len;
-    Option.iter (fun q -> decoded := q :: !decoded) (Frame.next_request r)
-  done;
-  let elapsed = Sys.time () -. t0 in
-  (match (whole, !decoded) with
-  | [ a ], [ b ] ->
-      Alcotest.(check bool) "same request as fed whole" true
-        (request_equal a b && request_equal batch b)
-  | _ -> Alcotest.fail "expected exactly one request each way");
-  if elapsed >= 1.0 then
-    Alcotest.failf "trickled decode took %.2f s (cap 1 s)" elapsed
 
 let () =
   Alcotest.run "frame"
@@ -451,14 +427,10 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_roundtrips;
           Alcotest.test_case "score bits" `Quick test_score_bits_roundtrip;
-          Alcotest.test_case "sniffing" `Quick test_sniffing;
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "write validation" `Quick test_write_validation;
           Alcotest.test_case "shard routing" `Quick test_shard_of_session;
           Alcotest.test_case "stable rendering" `Quick test_render_stable;
-          Alcotest.test_case "trickled ndjson line" `Quick
-            test_trickled_ndjson_line;
-          prop_roundtrip Frame.Binary "binary batches roundtrip";
-          prop_roundtrip Frame.Ndjson "ndjson batches roundtrip";
+          prop_roundtrip;
         ] );
     ]

@@ -285,15 +285,16 @@ let test_health_and_drain () =
   Alcotest.(check (list int)) "both shards answered" [ 0; 1 ]
     (List.sort compare !ack_shards);
   let h = health_of c in
-  Alcotest.(check int) "two shards" 2 (List.length h.Frame.shards_health);
+  Alcotest.(check int) "two shards" 2 (List.length h.Frame.shards);
   List.iter
-    (fun (sh : Frame.shard_health) ->
-      Alcotest.(check bool) "alive" true sh.Frame.h_alive;
-      Alcotest.(check bool) "not degraded" false sh.Frame.h_degraded;
-      Alcotest.(check int) "no restarts" 0 sh.Frame.h_restarts;
+    (fun (sh : Frame.shard_stats) ->
+      Alcotest.(check bool) "alive" true sh.Frame.alive;
+      Alcotest.(check bool) "not degraded" false sh.Frame.degraded;
+      Alcotest.(check int) "no restarts" 0 sh.Frame.restarts;
+      Alcotest.(check int) "one sub-batch applied" 1 sh.Frame.batches;
       Alcotest.(check bool) "hint at least the floor" true
-        (sh.Frame.h_retry_after_ms >= Serve.default_retry_after_ms))
-    h.Frame.shards_health;
+        (sh.Frame.retry_after_ms >= Serve.default_retry_after_ms))
+    h.Frame.shards;
   Alcotest.(check bool) "not draining" false h.Frame.draining;
   (* Drain: the response arrives once every queue is idle, and carries
      the applied batch count; new work is rejected afterwards. *)
@@ -308,6 +309,37 @@ let test_health_and_drain () =
   | _ -> Alcotest.fail "draining server must reject new batches");
   Alcotest.(check bool) "draining reported" true (health_of c).Frame.draining;
   close_client c;
+  quit_server path server
+
+(* {1 Foreign bytes} *)
+
+let test_foreign_bytes_refused () =
+  let path = fresh_socket_path () in
+  let server = start_server (base_config path) in
+  (* A JSON line is not a frame: its first byte is refused at once with
+     an Error_msg, and the server closes the connection. *)
+  let c = client path in
+  let line = Bytes.of_string "{\"type\":\"stats\"}\n" in
+  ignore (Unix.write c.fd line 0 (Bytes.length line) : int);
+  (match recv_exn c "foreign bytes" with
+  | Frame.Error_msg msg ->
+      Alcotest.(check string) "names the byte" "Frame: bad frame magic 0x7b"
+        msg
+  | _ -> Alcotest.fail "expected an Error_msg");
+  Alcotest.(check bool) "then end of stream" true (recv c = None);
+  close_client c;
+  (* The refused connection is reaped: the probe is the only one left. *)
+  let probe = client path in
+  let rec settle tries =
+    let h = health_of probe in
+    if h.Frame.connections = 1 || tries = 0 then h
+    else begin
+      Unix.sleepf 0.05;
+      settle (tries - 1)
+    end
+  in
+  Alcotest.(check int) "no leaked connection" 1 (settle 40).Frame.connections;
+  close_client probe;
   quit_server path server
 
 (* {1 The supervisor: chaos crash -> journalled restart -> ack} *)
@@ -333,7 +365,7 @@ let test_supervised_restart () =
          resets on every ack, so three batches mean three restarts and
          zero degradations. *)
       let chaos =
-        Fault_plan.Serve.of_seed ~crash_rate:1.0 ~sticky:1 ~seed:3 ()
+        Fault_plan.of_seed ~transient_rate:1.0 ~sticky:1 ~seed:3 ()
       in
       let server =
         start_server (base_config ~journal_dir:dir ~chaos ~max_restarts:2 path)
@@ -350,11 +382,11 @@ let test_supervised_restart () =
         | _ -> Alcotest.fail "expected an ack"
       done;
       let h = health_of c in
-      (match h.Frame.shards_health with
+      (match h.Frame.shards with
       | [ sh ] ->
-          Alcotest.(check int) "three restarts" 3 sh.Frame.h_restarts;
-          Alcotest.(check bool) "alive" true sh.Frame.h_alive;
-          Alcotest.(check bool) "not degraded" false sh.Frame.h_degraded
+          Alcotest.(check int) "three restarts" 3 sh.Frame.restarts;
+          Alcotest.(check bool) "alive" true sh.Frame.alive;
+          Alcotest.(check bool) "not degraded" false sh.Frame.degraded
       | _ -> Alcotest.fail "expected one shard");
       close_client c;
       quit_server path server)
@@ -365,10 +397,9 @@ let test_degrade_isolates () =
      crash degrades its shard.  The fate hash is pure, so pick batch
      ids whose shard-0 slice crashes and whose shard-1 slice does not —
      then check the degrade touched only shard 0. *)
-  let chaos = Fault_plan.Serve.of_seed ~crash_rate:0.5 ~sticky:1 ~seed:9 () in
+  let chaos = Fault_plan.of_seed ~transient_rate:0.5 ~sticky:1 ~seed:9 () in
   let fate ~batch_id ~shard =
-    Fault_plan.Serve.job_fate chaos
-      ~key:(Fault_plan.Serve.job_key ~batch_id ~shard)
+    Fault_plan.decide chaos ~key:(Fault_plan.job_key ~batch_id ~shard)
       ~attempt:0
   in
   let rec find_id pred i =
@@ -378,7 +409,7 @@ let test_degrade_isolates () =
   in
   let id_crash =
     find_id
-      (fun i -> fate ~batch_id:i ~shard:0 = Some Fault_plan.Serve.Crash)
+      (fun i -> fate ~batch_id:i ~shard:0 = Some Fault.Transient)
       0
   in
   let id_clean = find_id (fun i -> fate ~batch_id:i ~shard:1 = None) 0 in
@@ -400,16 +431,16 @@ let test_degrade_isolates () =
   | _ -> Alcotest.fail "expected shard 1 to keep serving");
   let h = health_of c in
   List.iter
-    (fun (sh : Frame.shard_health) ->
-      if sh.Frame.h_shard = 0 then begin
-        Alcotest.(check bool) "shard 0 degraded" true sh.Frame.h_degraded;
-        Alcotest.(check bool) "shard 0 not alive" false sh.Frame.h_alive
+    (fun (sh : Frame.shard_stats) ->
+      if sh.Frame.shard = 0 then begin
+        Alcotest.(check bool) "shard 0 degraded" true sh.Frame.degraded;
+        Alcotest.(check bool) "shard 0 not alive" false sh.Frame.alive
       end
       else begin
-        Alcotest.(check bool) "shard 1 not degraded" false sh.Frame.h_degraded;
-        Alcotest.(check bool) "shard 1 alive" true sh.Frame.h_alive
+        Alcotest.(check bool) "shard 1 not degraded" false sh.Frame.degraded;
+        Alcotest.(check bool) "shard 1 alive" true sh.Frame.alive
       end)
-    h.Frame.shards_health;
+    h.Frame.shards;
   (* A later batch for the degraded shard fails at admission, with its
      event count, while the live slice of the same batch is acked. *)
   let id_mixed =
@@ -443,6 +474,8 @@ let () =
           Alcotest.test_case "reaper bounds concurrency" `Slow test_reaper;
           Alcotest.test_case "slow client evicted" `Slow test_eviction;
           Alcotest.test_case "health and drain" `Slow test_health_and_drain;
+          Alcotest.test_case "foreign bytes refused" `Slow
+            test_foreign_bytes_refused;
           Alcotest.test_case "supervised restart" `Slow test_supervised_restart;
           Alcotest.test_case "degrade isolates" `Slow test_degrade_isolates;
         ] );

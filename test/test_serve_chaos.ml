@@ -2,7 +2,7 @@
    supervisor-model level: a faithful simulation of serve.ml's shard
    lifecycle (crash before apply, restart from the shard journal with
    a consecutive budget that resets on progress, degrade when the
-   budget is out) driven by the stateless Fault_plan.Serve band.
+   budget is out) driven by the stateless Fault_plan.
 
    Property 1: under any Transient-only chaos seed whose sticky window
    fits the restart budget, the per-session incident log is
@@ -184,9 +184,9 @@ let chaos_replay ?(tag = "t") ~scorer ~threshold ~shards ~plan ~max_restarts
               let sim = sims.(shard) in
               if sim.ss_degraded then failed := (batch_id, shard) :: !failed
               else
-                let key = Fault_plan.Serve.job_key ~batch_id ~shard in
+                let key = Fault_plan.job_key ~batch_id ~shard in
                 let rec run attempt =
-                  match Fault_plan.Serve.trip plan ~key ~attempt with
+                  match Fault_plan.trip plan ~key ~attempt with
                   | () ->
                       let evs =
                         Session_table.apply sim.ss_table ~batch_id sub
@@ -258,7 +258,7 @@ let prop_chaos_determinism =
     (fun batches ->
       let scorer, threshold = Lazy.force scorer_and_threshold in
       let plan =
-        Fault_plan.Serve.of_seed ~crash_rate:0.35 ~sticky:2 ~seed:42 ()
+        Fault_plan.of_seed ~transient_rate:0.35 ~sticky:2 ~seed:42 ()
       in
       let reference = by_session (serial_replay ~scorer ~threshold batches) in
       with_journal_dir (fun dir ->
@@ -282,7 +282,7 @@ let prop_degrade_isolation =
     (fun batches ->
       let scorer, threshold = Lazy.force scorer_and_threshold in
       let plan =
-        Fault_plan.Serve.of_seed ~crash_rate:0.35 ~sticky:1_000_000 ~seed:7 ()
+        Fault_plan.of_seed ~transient_rate:0.35 ~sticky:1_000_000 ~seed:7 ()
       in
       let shards = 2 in
       let reference = by_session (serial_replay ~scorer ~threshold batches) in
@@ -347,7 +347,7 @@ let gen_fixture () =
   render_sessions buf reference;
   with_journal_dir (fun dir ->
       let plan =
-        Fault_plan.Serve.of_seed ~crash_rate:0.4 ~sticky:2 ~seed:11 ()
+        Fault_plan.of_seed ~transient_rate:0.4 ~sticky:2 ~seed:11 ()
       in
       List.iter
         (fun shards ->
@@ -371,7 +371,7 @@ let gen_fixture () =
          and leaves every shard-1 sub clean: shard 0 degrades alone and
          the fixture shows shard 1's sessions surviving untouched. *)
       let plan_fatal =
-        Fault_plan.Serve.of_seed ~crash_rate:0.15 ~sticky:1_000_000 ~seed:3 ()
+        Fault_plan.of_seed ~transient_rate:0.15 ~sticky:1_000_000 ~seed:3 ()
       in
       let o =
         chaos_replay ~tag:"fatal" ~scorer ~threshold ~shards:2 ~plan:plan_fatal
@@ -408,7 +408,7 @@ let test_chaos_fires () =
   (* The golden corpus must actually exercise the machinery: restarts
      strictly positive under the transient plan, at every shard count. *)
   let scorer, threshold = Lazy.force scorer_and_threshold in
-  let plan = Fault_plan.Serve.of_seed ~crash_rate:0.4 ~sticky:2 ~seed:11 () in
+  let plan = Fault_plan.of_seed ~transient_rate:0.4 ~sticky:2 ~seed:11 () in
   with_journal_dir (fun dir ->
       List.iter
         (fun shards ->

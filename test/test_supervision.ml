@@ -272,6 +272,25 @@ let test_chaos_identical_across_jobs () =
   in
   Alcotest.(check string) "jobs=1 = jobs=4 under fatal chaos" (run 1) (run 4)
 
+let test_hang_fates_counted_as_injected () =
+  (* A hang fate ends as a deadline timeout, not as [Fault.Injected],
+     yet it is the plan's doing and counts as injected.  Hangs are never
+     retried, so each fated task runs once: a hung score task fails its
+     one cell and a hung train task every cell of its window. *)
+  let plan = Fault_plan.of_seed ~transient_rate:0.0 ~hang_rate:0.1 ~seed:23 () in
+  let clock = Fake_clock.create ~step_ms:1.0 in
+  let deadline = Deadline.spec ~clock:(Fake_clock.clock clock) ~budget_ms:200 in
+  let e = Engine.create ~jobs:1 ~fault_plan:plan ~deadline () in
+  ignore (Experiment.all_maps ~engine:e (tiny_suite ()) (grid_detectors ()));
+  let s = Engine.stats e in
+  Alcotest.(check bool) "hangs fired" true (s.Engine.cells_timed_out > 0);
+  Alcotest.(check int) "every failure a timeout" s.Engine.cells_failed
+    s.Engine.cells_timed_out;
+  Alcotest.(check int) "hangs never retried" 0 s.Engine.retries;
+  Alcotest.(check bool) "hangs counted as injected" true
+    (s.Engine.faults_injected > 0
+    && s.Engine.faults_injected <= s.Engine.cells_timed_out)
+
 let test_failed_cells_render_distinctly () =
   let plan = Fault_plan.of_seed ~transient_rate:0.0 ~fatal_rate:0.08 ~seed:11 () in
   let e = Engine.create ~jobs:1 ~fault_plan:plan () in
@@ -321,5 +340,7 @@ let () =
             test_chaos_identical_across_jobs;
           Alcotest.test_case "failed cells render distinctly" `Slow
             test_failed_cells_render_distinctly;
+          Alcotest.test_case "hang fates counted as injected" `Quick
+            test_hang_fates_counted_as_injected;
         ] );
     ]
