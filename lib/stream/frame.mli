@@ -127,9 +127,10 @@ val binary_magic : char
 
 val write_request : Buffer.t -> encoding -> request -> unit
 val write_response : Buffer.t -> encoding -> response -> unit
-(** Append one complete frame.
+(** Append one complete frame.  A refused write appends nothing.
     @raise Invalid_argument on values the format cannot carry (symbol
-    codes outside 0..254, an empty batch, negative ids). *)
+    codes outside 0..254, an empty batch, negative ids, a payload over
+    64 MiB). *)
 
 (** {1 Incremental decoding} *)
 

@@ -82,7 +82,9 @@ SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR="$tmp/golden" \
   ./_build/default/test/test_serve_chaos.exe > /dev/null
 SEQDIV_GOLDEN_PROMOTE=1 SEQDIV_GOLDEN_DIR="$tmp/golden" \
   ./_build/default/test/test_adaptive_golden.exe > /dev/null
-diff -ru test/golden "$tmp/golden"
+# serve_static.txt and serve_adaptive.txt are the serve stages' incident
+# logs: those stages below diff them.
+diff -ru -x serve_static.txt -x serve_adaptive.txt test/golden "$tmp/golden"
 echo "golden fixtures: OK"
 
 # The paper's own scale: at 1M training elements every map and table
@@ -237,6 +239,12 @@ serve_pid=$!
 "$bin" serve-bench --socket "$serve_sock" $bench_args \
   --incident-log "$tmp/serve-ref.log" --quit > /dev/null
 wait "$serve_pid"
+# The run must alarm, or the byte-compares below prove nothing; and its
+# log must be the one pinned in test/golden/ (scripts/promote-golden.sh
+# rewrites it), so a change that alters every run alike still shows.
+[ -s "$tmp/serve-ref.log" ] || {
+  echo "serve smoke: empty incident log" >&2; exit 1; }
+diff test/golden/serve_static.txt "$tmp/serve-ref.log"
 
 # Interrupted: SIGKILL the server once shard 0 has committed state,
 # restart it with --resume, and let the client ride through.
@@ -356,6 +364,7 @@ wait "$serve_pid"
 # The run must actually alarm, or the byte-compares below prove nothing.
 [ -s "$tmp/serve-adapt-ref.log" ] || {
   echo "adaptive serve smoke: empty incident log" >&2; exit 1; }
+diff test/golden/serve_adaptive.txt "$tmp/serve-adapt-ref.log"
 
 mkdir -p "$tmp/serve-adapt-kill"
 "$bin" serve --model "$tmp/markov.flat" --socket "$serve_sock" --shards 2 \

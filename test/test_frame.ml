@@ -356,6 +356,56 @@ let test_write_validation () =
   | () -> Alcotest.fail "negative id accepted"
   | exception Invalid_argument _ -> ()
 
+(* The batch encoder's bytes, pinned against the raw builders: tag, id,
+   event count, then per event its tag, session id and (for data) the
+   symbol count and one byte per symbol.  The id sits above 2^32, so a
+   32-bit write of it would show. *)
+let test_wire_pin () =
+  let id = (1 lsl 32) + 5 in
+  let batch =
+    Frame.Batch
+      {
+        id;
+        events =
+          [
+            Frame.Data { session = 9; symbols = [| 0; 7; 254 |] };
+            Frame.End_of_session { session = (1 lsl 33) + 1 };
+          ];
+      }
+  in
+  let expected =
+    frame
+      ("B" ^ i64 id ^ i64 2 ^ "d" ^ i64 9 ^ i64 3 ^ "\000\007\254" ^ "e"
+     ^ i64 ((1 lsl 33) + 1))
+  in
+  let buf = Buffer.create 16 in
+  Frame.write_request buf Frame.Binary batch;
+  Alcotest.(check string) "batch bytes" expected (Buffer.contents buf);
+  (* A refused write leaves the buffer as it found it. *)
+  let refused name message events =
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf "kept";
+    (match Frame.write_request buf Frame.Binary (Frame.Batch { id; events }) with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) (name ^ ": message") message msg);
+    Alcotest.(check string) (name ^ ": nothing appended") "kept"
+      (Buffer.contents buf)
+  in
+  let ok = Frame.Data { session = 1; symbols = Array.make 300 3 } in
+  refused "bad symbol in the last event" "Frame: symbol 255 out of range 0..254"
+    [
+      ok;
+      Frame.End_of_session { session = 2 };
+      Frame.Data { session = 3; symbols = [| 1; 2; 255 |] };
+    ];
+  refused "symbol -1" "Frame: symbol -1 out of range 0..254"
+    [ ok; Frame.Data { session = 3; symbols = [| 4; -1; 4 |] } ];
+  refused "negative session in data" "Frame: negative session id: -5"
+    [ ok; Frame.Data { session = -5; symbols = [| 1 |] } ];
+  refused "negative session at end of session" "Frame: negative session id: -6"
+    [ ok; Frame.End_of_session { session = -6 } ]
+
 let test_shard_of_session () =
   Alcotest.(check int) "one shard takes all" 0
     (Frame.shard_of_session ~shards:1 123);
@@ -429,6 +479,7 @@ let () =
           Alcotest.test_case "score bits" `Quick test_score_bits_roundtrip;
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "write validation" `Quick test_write_validation;
+          Alcotest.test_case "wire pin" `Quick test_wire_pin;
           Alcotest.test_case "shard routing" `Quick test_shard_of_session;
           Alcotest.test_case "stable rendering" `Quick test_render_stable;
           prop_roundtrip;
