@@ -36,12 +36,6 @@ let of_seed ?(transient_rate = 0.05) ?(fatal_rate = 0.0) ?(hang_rate = 0.0)
     sticky = Stdlib.max 1 sticky;
   }
 
-let seed t = t.seed
-let transient_rate t = t.transient_rate
-let fatal_rate t = t.fatal_rate
-let hang_rate t = t.hang_rate
-let sticky t = t.sticky
-
 (* SplitMix64 finaliser over the (seed, key) pair: a high-quality,
    order-free hash — the same mixer Seqdiv_util.Prng steps with, used
    here statelessly. *)

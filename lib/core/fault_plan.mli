@@ -53,12 +53,6 @@ val of_seed :
     @raise Invalid_argument if a rate, or the sum of the transient,
     fatal and hang rates, leaves [0, 1]. *)
 
-val seed : t -> int
-val transient_rate : t -> float
-val fatal_rate : t -> float
-val hang_rate : t -> float
-val sticky : t -> int
-
 val decide : t -> key:int64 -> attempt:int -> Fault.severity option
 (** The injection decision for one execution of the task fingerprinted
     by [key]; [Some Timeout] marks a hang-fated task.  Pure; safe from
