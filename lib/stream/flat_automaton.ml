@@ -158,6 +158,41 @@ let state_alarms scorer state threshold =
   Bigarray.Array1.unsafe_get scorer.scores state >= threshold
 let score_table scorer = scorer.scores
 
+(* --- the quiet run ------------------------------------------------------ *)
+
+type cursor = { scorer : scorer; mutable state : int }
+
+(* One table step and one score compare per symbol, on loop parameters:
+   the state is written back to the cursor once, where the run stops.
+   The table reads are safe for the reasons given at [step]; [k] bounds
+   every symbol stepped here, so no symbol takes [step]'s reset. *)
+let rec quiet_from c (trans : table) (scores : score_table) k below threshold
+    symbols i stop state =
+  if i >= stop then begin
+    c.state <- state;
+    i
+  end
+  else
+    let s = symbols.(i) in
+    if s < 0 || s >= below then begin
+      c.state <- state;
+      i
+    end
+    else
+      let next = Bigarray.Array1.unsafe_get trans ((state * k) + s) in
+      if Bigarray.Array1.unsafe_get scores next >= threshold then begin
+        c.state <- state;
+        i
+      end
+      else
+        quiet_from c trans scores k below threshold symbols (i + 1) stop next
+
+let run_quiet c ~threshold ~below symbols ~pos ~stop =
+  let auto = c.scorer.auto in
+  quiet_from c auto.trans c.scorer.scores auto.alphabet_size
+    (Stdlib.min below auto.alphabet_size)
+    threshold symbols pos stop c.state
+
 (* --- reassembly from raw tables (the mmap-load path) -------------------- *)
 
 let transitions t = t.trans

@@ -93,6 +93,30 @@ val state_alarms : scorer -> int -> float -> bool
 val score_table : scorer -> score_table
 (** The backing table (read-only view), for serialisation. *)
 
+(** {1 Quiet runs — many symbols per call} *)
+
+type cursor = { scorer : scorer; mutable state : int }
+(** A scorer and the state a stream has reached in it.  [state] must
+    always be a valid state of [scorer]'s automaton: {!start}, a value
+    {!step} returned, or one checked against {!states}. *)
+
+val run_quiet :
+  cursor ->
+  threshold:float ->
+  below:int ->
+  int array ->
+  pos:int ->
+  stop:int ->
+  int
+(** [run_quiet c ~threshold ~below symbols ~pos ~stop] steps [c] over
+    [symbols.(pos)], [symbols.(pos + 1)], ... as long as each state it
+    reaches scores below [threshold], and returns the index of the
+    first symbol it did not step: [stop], a symbol outside
+    [0 .. min below (alphabet_size a) - 1], or the symbol whose state
+    would score at or above [threshold].  Each stepped symbol is one
+    table step and one score compare, and the call allocates nothing.
+    Requires [0 <= pos] and [stop <= Array.length symbols]. *)
+
 (** {1 Raw-table access — serialisation support} *)
 
 val transitions : t -> table

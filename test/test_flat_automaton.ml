@@ -170,6 +170,79 @@ let online_bit_identical =
              = List.length (Online.incidents slow))
         compiled_detectors)
 
+(* {1 qcheck: the quiet run = a loop of step and state_alarms } *)
+
+(* What [run_quiet] must do, one [step] and one [state_alarms] at a
+   time: the index it stops at and the state it leaves. *)
+let rec quiet_reference auto scorer ~threshold ~below symbols i stop state =
+  if i >= stop then (i, state)
+  else
+    let s = symbols.(i) in
+    if s < 0 || s >= below || s >= Flat_automaton.alphabet_size auto then
+      (i, state)
+    else
+      let next = Flat_automaton.step auto state s in
+      if Flat_automaton.state_alarms scorer next threshold then (i, state)
+      else
+        quiet_reference auto scorer ~threshold ~below symbols (i + 1) stop
+          next
+
+let quiet_run_matches_steps =
+  (* Every seventh symbol of the probe is pushed out of the alphabet
+     (below 0, or at or past it), and [below] cuts some alphabets short,
+     so runs stop on symbols as well as on alarming states. *)
+  qcheck ~count:100 "run_quiet = step and state_alarms"
+    (case_arb ~max_symbol:max_int)
+    (fun c ->
+      let training = trace_of c c.train in
+      let symbols =
+        Array.of_list
+          (List.mapi
+             (fun i s ->
+               if i mod 7 <> 6 then s
+               else if i mod 2 = 0 then -1
+               else c.alphabet_size + (i mod 3))
+             c.probe)
+      in
+      let n = Array.length symbols in
+      List.for_all
+        (fun name ->
+          let trained =
+            Trained.train (Registry.find_exn name) ~window:c.window training
+          in
+          let scorer = Option.get (Trained.compile trained) in
+          let auto = Flat_automaton.automaton scorer in
+          (* The state a stream reaches after [symbols.(0 .. pos - 1)]. *)
+          let state_at pos =
+            let rec go i state =
+              if i >= pos then state
+              else go (i + 1) (Flat_automaton.step auto state symbols.(i))
+            in
+            go 0 Flat_automaton.start
+          in
+          List.for_all
+            (fun threshold ->
+              List.for_all
+                (fun below ->
+                  List.for_all
+                    (fun pos ->
+                      List.for_all
+                        (fun stop ->
+                          let state = state_at pos in
+                          let cursor = { Flat_automaton.scorer; state } in
+                          let j =
+                            Flat_automaton.run_quiet cursor ~threshold ~below
+                              symbols ~pos ~stop
+                          in
+                          (j, cursor.Flat_automaton.state)
+                          = quiet_reference auto scorer ~threshold ~below
+                              symbols pos stop state)
+                        [ pos; (pos + n) / 2; n ])
+                    [ 0; n / 3; n / 2 ])
+                [ 255; c.alphabet_size; 3 ])
+            [ 0.0; 0.5; Trained.alarm_threshold trained; 2.0 ])
+        compiled_detectors)
+
 (* {1 Flat-binary roundtrip: mmap-load then score = train-then-score } *)
 
 let with_temp_file f =
@@ -281,7 +354,9 @@ let () =
           Alcotest.test_case "out-of-range symbols" `Quick
             test_out_of_range_symbol_is_reset;
         ] );
-      ("equivalence", [ batch_bit_identical; online_bit_identical ]);
+      ( "equivalence",
+        [ batch_bit_identical; online_bit_identical; quiet_run_matches_steps ]
+      );
       ( "deployment",
         [ Alcotest.test_case "flat roundtrip" `Quick test_flat_roundtrip ] );
       ( "engine",

@@ -800,6 +800,31 @@ let test_r11_advance_clean () =
   Alcotest.(check (list string)) "allocation-free advance clean" []
     (rules_of (find_rule "R11" diags))
 
+(* [Online.advance_run] and the kernel it runs,
+   [Flat_automaton.run_quiet], step many symbols per call: each is a
+   per-symbol entry of its own, so an allocation in its body is a
+   finding even with no caller in the program. *)
+let test_r11_run_allocating () =
+  let diags =
+    run_on
+      [
+        file "lib/core/online.ml"
+          "let advance_run t symbols = fst (t, symbols)\n";
+        file "lib/core/online.mli" "val advance_run : int -> int -> int\n";
+        file "lib/stream/flat_automaton.ml"
+          "let run_quiet c symbols = !(ref (c + symbols))\n";
+        file "lib/stream/flat_automaton.mli"
+          "val run_quiet : int -> int -> int\n";
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "each entry's own allocation"
+    [ ("lib/core/online.ml", 1); ("lib/stream/flat_automaton.ml", 1) ]
+    (List.sort compare
+       (List.map
+          (fun d -> (d.Diagnostic.file, d.Diagnostic.line))
+          (find_rule "R11" diags)))
+
 (* --- R12: hygiene of the allow markers themselves ----------------------- *)
 
 let test_r12_unknown_token () =
@@ -922,6 +947,8 @@ let () =
           Alcotest.test_case "R11 advance allocating" `Quick
             test_r11_advance_allocating;
           Alcotest.test_case "R11 advance clean" `Quick test_r11_advance_clean;
+          Alcotest.test_case "R11 run allocating" `Quick
+            test_r11_run_allocating;
           Alcotest.test_case "R12 unknown token" `Quick test_r12_unknown_token;
           Alcotest.test_case "R12 empty marker" `Quick test_r12_empty_marker;
           Alcotest.test_case "R12 bare allow warns" `Quick

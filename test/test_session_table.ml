@@ -348,6 +348,45 @@ let test_no_allocation_per_symbol () =
   Alcotest.(check int) "resident" sessions
     (Session_table.sessions_resident table)
 
+(* {1 The deadline is polled every 1024 symbols of a batch} *)
+
+let test_deadline_stride () =
+  (* Each poll reads the virtual clock once and advances it 1 ms, so a
+     2 ms budget is spent at the third poll: right after the batch's
+     3,072nd symbol, which falls inside its third event.  Session 1's
+     alarming symbols make its runs stop early, and the count must
+     carry across them and across events. *)
+  let scorer, threshold = Lazy.force scorer_and_threshold in
+  let training = Trace.to_array (tiny_suite ()).Suite.training in
+  let rng = Random.State.make [| 29 |] in
+  let alarming =
+    Array.init 1500 (fun i ->
+        if i mod 100 < 20 then Random.State.int rng 8 else training.(i))
+  in
+  let events =
+    [
+      Frame.Data { session = 0; symbols = Array.sub training 0 1000 };
+      Frame.Data { session = 1; symbols = alarming };
+      Frame.Data { session = 2; symbols = Array.sub training 0 1000 };
+      Frame.Data { session = 3; symbols = Array.sub training 0 700 };
+    ]
+  in
+  let table = Session_table.create ~scorer ~threshold ~shard:0 () in
+  let clock = Fake_clock.create ~step_ms:1.0 in
+  (match
+     Seqdiv_util.Deadline.with_deadline
+       (Seqdiv_util.Deadline.spec ~clock:(Fake_clock.clock clock) ~budget_ms:2)
+       (fun () -> Session_table.apply table ~batch_id:0 events)
+   with
+  | _ -> Alcotest.fail "the deadline did not fire"
+  | exception Seqdiv_util.Deadline.Exceeded 2 -> ());
+  (* Window 4: a fresh session's n symbols complete n - 3 windows. *)
+  Alcotest.(check int) "windows of the 3,072 symbols stepped"
+    ((1000 - 3) + (1500 - 3) + (572 - 3))
+    (Session_table.windows_scored table);
+  Alcotest.(check int) "sessions touched" 3
+    (Session_table.sessions_resident table)
+
 (* {1 Running window and alarm totals} *)
 
 (* What the totals stood for when they were folds: windows/alarms of
@@ -473,6 +512,8 @@ let () =
           Alcotest.test_case "dedup" `Quick test_dedup_without_journal;
           Alcotest.test_case "no allocation per symbol" `Quick
             test_no_allocation_per_symbol;
+          Alcotest.test_case "deadline every 1024 symbols" `Quick
+            test_deadline_stride;
           Alcotest.test_case "running totals" `Quick test_running_totals;
           prop_shard_invariant;
           prop_shard_invariant_adaptive;
