@@ -9,9 +9,11 @@
     shared-trie builder and the flat-automaton compiler.  The compiled
     scoring path ([Flat_automaton.step]/[state_score] and the shared
     [Detector.compiled_score_range] loop) is rooted in the R11 score
-    set, so the fast path is provably allocation-free; so is
-    [Online.advance], the serve layer's per-symbol entry.  See
-    docs/LINTING.md for the full list and rationale. *)
+    set, so the fast path is provably allocation-free; so are the
+    serve layer's per-symbol entries: [Online.advance],
+    [Online.advance_run] and the quiet-run kernel
+    [Flat_automaton.run_quiet].  See docs/LINTING.md for the full list
+    and rationale. *)
 
 val hot_roots : Callgraph.t -> Callgraph.fn_id list
 (** Entry points of train/score hot paths and supervised tasks. *)
@@ -20,8 +22,9 @@ val score_roots : Callgraph.t -> Callgraph.fn_id list
 (** Entry points of the per-window scoring paths only (R11). *)
 
 val per_symbol_roots : Callgraph.t -> Callgraph.fn_id list
-(** The score entries that run once per stream symbol
-    ([Online.advance]): per-window by definition (R11). *)
+(** The score entries that run once per stream symbol or step a run of
+    them ([Online.advance], [Online.advance_run],
+    [Flat_automaton.run_quiet]): per-window by definition (R11). *)
 
 val reachable :
   Callgraph.t -> roots:Callgraph.fn_id list -> Callgraph.fn list

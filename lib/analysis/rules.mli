@@ -42,8 +42,9 @@
       case.  Escape hatch: [lint: allow fault-custody].
     - [R11 allocation] — no closure construction, partial application,
       or boxed allocation on the per-window scoring path, which
-      includes the per-symbol [Online.advance] and all it calls.
-      Escape hatch: [lint: allow allocation].
+      includes the per-symbol entries [Online.advance],
+      [Online.advance_run] and [Flat_automaton.run_quiet] and all they
+      call.  Escape hatch: [lint: allow allocation].
 
     One more per-file rule guards crash safety:
 

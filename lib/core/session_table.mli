@@ -43,11 +43,12 @@ val create :
 
 val apply : t -> batch_id:int -> Frame.event list -> Frame.incident_event list
 (** Apply one sub-batch (already routed to this shard) and return the
-    incident events it emitted, in emission order.  Symbols are stepped
-    through {!Online.advance}, so a symbol that neither opens nor
-    closes an incident allocates nothing.  Feeding polls
-    {!Seqdiv_util.Deadline.checkpoint} every 1024 symbols, so an armed
-    per-batch deadline can interrupt a runaway batch.  A [batch_id]
+    incident events it emitted, in emission order.  Each [Data] event's
+    symbols are stepped in runs of {!Online.advance_run}, so a symbol
+    that neither opens nor closes an incident allocates nothing.
+    Feeding polls {!Seqdiv_util.Deadline.checkpoint} after every 1024th
+    symbol of the batch (no run crosses one), so an armed per-batch
+    deadline can interrupt a runaway batch.  A [batch_id]
     already in the retained history is {e not} re-applied: its recorded
     incident events are returned again verbatim.
     @raise Invalid_argument on a symbol outside the scorer's validated
