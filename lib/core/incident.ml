@@ -1,6 +1,6 @@
 open Seqdiv_detectors
 
-type t = {
+type t = Seqdiv_stream.Frame.incident = {
   first_start : int;
   last_start : int;
   cover_from : int;

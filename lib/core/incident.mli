@@ -10,7 +10,7 @@
 
 open Seqdiv_detectors
 
-type t = {
+type t = Seqdiv_stream.Frame.incident = {
   first_start : int;  (** window start of the first alarm *)
   last_start : int;  (** window start of the last alarm *)
   cover_from : int;  (** first trace position covered by the incident *)
@@ -18,6 +18,9 @@ type t = {
   alarms : int;  (** number of window-level alarms coalesced *)
   peak_score : float;  (** maximum response within the incident *)
 }
+(** The serve layer's wire record ({!Seqdiv_stream.Frame.incident}), so
+    a monitor's incidents go into frames and shard journals as they
+    are. *)
 
 val of_response : ?gap:int -> Response.t -> threshold:float -> t list
 (** Group the alarms of a response (items with [score >= threshold])

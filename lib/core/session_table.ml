@@ -29,26 +29,6 @@ type t = {
 
 let dedup_capacity = 64
 
-let incident_of_core (i : Incident.t) =
-  {
-    Frame.first_start = i.Incident.first_start;
-    last_start = i.Incident.last_start;
-    cover_from = i.Incident.cover_from;
-    cover_to = i.Incident.cover_to;
-    alarms = i.Incident.alarms;
-    peak_score = i.Incident.peak_score;
-  }
-
-let incident_to_core (i : Frame.incident) =
-  {
-    Incident.first_start = i.Frame.first_start;
-    last_start = i.Frame.last_start;
-    cover_from = i.Frame.cover_from;
-    cover_to = i.Frame.cover_to;
-    alarms = i.Frame.alarms;
-    peak_score = i.Frame.peak_score;
-  }
-
 let remember_batch t ~batch_id incidents =
   Hashtbl.replace t.dedup batch_id incidents;
   Queue.push batch_id t.dedup_order;
@@ -84,8 +64,7 @@ let create ~scorer ~threshold ?adaptive ?journal ~shard () =
               {
                 Online.snap_consumed = s.Shard_journal.js_consumed;
                 snap_state = s.Shard_journal.js_state;
-                snap_open =
-                  Option.map incident_to_core s.Shard_journal.js_open;
+                snap_open = s.Shard_journal.js_open;
                 snap_adaptive = s.Shard_journal.js_adaptive;
               }
           in
@@ -102,7 +81,7 @@ let create ~scorer ~threshold ?adaptive ?journal ~shard () =
   t
 
 let push_closed acc session incident =
-  acc := Frame.Closed { session; incident = incident_of_core incident } :: !acc
+  acc := Frame.Closed { session; incident } :: !acc
 
 (* The incident events of one symbol's {!Online.advance_run} bits,
    appended in emission order: a close comes before the open it makes
@@ -218,8 +197,7 @@ let journal_batch t ~batch_id ~events incidents { journal; ended; order } =
                       Shard_journal.js_session = session;
                       js_consumed = snap.Online.snap_consumed;
                       js_state = snap.Online.snap_state;
-                      js_open =
-                        Option.map incident_of_core snap.Online.snap_open;
+                      js_open = snap.Online.snap_open;
                       js_adaptive = snap.Online.snap_adaptive;
                     })))
     (List.rev order);

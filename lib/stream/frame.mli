@@ -28,8 +28,9 @@ type incident = {
   alarms : int;
   peak_score : float;
 }
-(** Structurally identical to [Seqdiv_core.Incident.t], restated here
-    because the stream layer sits below core. *)
+(** One closed incident on the wire.  [Seqdiv_core.Incident.t] is this
+    record (a type equation), so monitors' incidents travel without a
+    copy. *)
 
 type incident_event =
   | Opened of { session : int; position : int }

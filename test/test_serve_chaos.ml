@@ -32,16 +32,6 @@ let scorer_and_threshold =
      in
      (scorer, Trained.alarm_threshold stide))
 
-let incident_of_core (i : Incident.t) =
-  {
-    Frame.first_start = i.Incident.first_start;
-    last_start = i.Incident.last_start;
-    cover_from = i.Incident.cover_from;
-    cover_to = i.Incident.cover_to;
-    alarms = i.Incident.alarms;
-    peak_score = i.Incident.peak_score;
-  }
-
 (* {1 The serial reference} — as in test_session_table: one Online
    monitor per session, events in stream order. *)
 
@@ -53,9 +43,7 @@ let serial_replay ~scorer ~threshold batches =
     | Online.Incident_opened position ->
         log := Frame.Opened { session; position } :: !log
     | Online.Incident_closed incident ->
-        log :=
-          Frame.Closed { session; incident = incident_of_core incident }
-          :: !log
+        log := Frame.Closed { session; incident } :: !log
   in
   List.iter
     (fun events ->

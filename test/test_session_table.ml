@@ -24,16 +24,6 @@ let scorer_and_threshold =
      in
      (scorer, Trained.alarm_threshold stide))
 
-let incident_of_core (i : Incident.t) =
-  {
-    Frame.first_start = i.Incident.first_start;
-    last_start = i.Incident.last_start;
-    cover_from = i.Incident.cover_from;
-    cover_to = i.Incident.cover_to;
-    alarms = i.Incident.alarms;
-    peak_score = i.Incident.peak_score;
-  }
-
 (* {1 The serial reference}
 
    One Online monitor per session, events applied in stream order on
@@ -47,9 +37,7 @@ let serial_replay ?adaptive ~scorer ~threshold batches =
     | Online.Incident_opened position ->
         log := Frame.Opened { session; position } :: !log
     | Online.Incident_closed incident ->
-        log :=
-          Frame.Closed { session; incident = incident_of_core incident }
-          :: !log
+        log := Frame.Closed { session; incident } :: !log
   in
   List.iter
     (fun events ->
@@ -480,18 +468,7 @@ let test_running_totals () =
                {
                  Online.snap_consumed = js.Shard_journal.js_consumed;
                  snap_state = js.Shard_journal.js_state;
-                 snap_open =
-                   Option.map
-                     (fun (i : Frame.incident) ->
-                       {
-                         Incident.first_start = i.Frame.first_start;
-                         last_start = i.Frame.last_start;
-                         cover_from = i.Frame.cover_from;
-                         cover_to = i.Frame.cover_to;
-                         alarms = i.Frame.alarms;
-                         peak_score = i.Frame.peak_score;
-                       })
-                     js.Shard_journal.js_open;
+                 snap_open = js.Shard_journal.js_open;
                  snap_adaptive = None;
                }))
         (Shard_journal.sessions journal);
