@@ -57,8 +57,6 @@ let to_string t =
     (severity_to_string t.severity)
     t.attempts t.origin
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* Backtraces are diagnostic only: two runs of the same plan must
    compare equal even when captured stacks differ. *)
 let equal a b =

@@ -55,7 +55,6 @@ val of_exn : attempts:int -> exn -> Printexc.raw_backtrace -> t
 
 val severity_to_string : severity -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
 (** Structural equality on severity, origin and attempts.  Backtraces

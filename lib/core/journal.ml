@@ -108,8 +108,6 @@ let start ?(resume = false) ?(compact_factor = default_compact_factor)
   end;
   t
 
-let path t = Wal.path t.wal
-let context t = Wal.context t.wal
 let recovered t = t.recovered
 let dropped_lines t = Wal.dropped t.wal
 let appends t = Wal.appends t.wal

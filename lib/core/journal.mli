@@ -33,8 +33,6 @@ cell <seed> <detector> <window> <anomaly-size> <tag> <response-bits> <digest>
     resuming against the wrong configuration would silently splice
     incompatible cells. *)
 
-val version : int
-
 exception Corrupt of string
 (** The file is not a journal this version can trust: bad magic/version
     header, missing context line, or a context that names a different
@@ -90,9 +88,6 @@ val entries : t -> entry list
 (** Every entry the journal holds (recovered and newly recorded), in
     absorption order — including records later shadowed by a re-record
     of the same key. *)
-
-val path : t -> string
-val context : t -> string
 
 val recovered : t -> int
 (** Distinct cells loaded from disk by [start ~resume:true]. *)

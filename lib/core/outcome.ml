@@ -31,8 +31,6 @@ let to_string = function
   | Capable m -> Printf.sprintf "capable(%.4f)" m
   | Failed fault -> Printf.sprintf "failed(%s)" (Fault.to_string fault)
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let equal a b =
   match (a, b) with
   | Blind, Blind -> true

@@ -47,7 +47,6 @@ val to_char : t -> char
     of the rendered performance maps. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
 (** Structural equality; {!Failed} cells compare by {!Fault.equal}

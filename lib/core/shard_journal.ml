@@ -39,7 +39,6 @@ type t = {
   mutable pending : string list; (* record bodies, newest first *)
   mutable pending_count : int;
   mutable recovered_sessions : int;
-  mutable recovered_batches : int;
 }
 
 (* --- line codec --------------------------------------------------------- *)
@@ -205,7 +204,6 @@ let start ?(resume = false) ?(batch_history = default_batch_history) ~context
       pending = [];
       pending_count = 0;
       recovered_sessions = 0;
-      recovered_batches = 0;
     }
   in
   if resume then begin
@@ -227,15 +225,11 @@ let start ?(resume = false) ?(batch_history = default_batch_history) ~context
             true
         | Some (`Commit _) | None -> false);
     Wal.drop t.wal !size;
-    t.recovered_sessions <- Hashtbl.length t.live;
-    t.recovered_batches <- Queue.length t.batch_q
+    t.recovered_sessions <- Hashtbl.length t.live
   end;
   t
 
-let path t = Wal.path t.wal
-let context t = Wal.context t.wal
 let recovered_sessions t = t.recovered_sessions
-let recovered_batches t = t.recovered_batches
 let dropped_lines t = Wal.dropped t.wal
 let appends t = Wal.appends t.wal
 let compactions t = Wal.compactions t.wal

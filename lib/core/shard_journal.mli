@@ -93,14 +93,8 @@ val batches : t -> batch_record list
 
 (** {1 Introspection} *)
 
-val path : t -> string
-val context : t -> string
-
 val recovered_sessions : t -> int
 (** Live sessions loaded by [resume]. *)
-
-val recovered_batches : t -> int
-(** Batch records loaded by [resume]. *)
 
 val dropped_lines : t -> int
 (** Lines discarded during recovery: a torn tail, trailing garbage, or

@@ -29,8 +29,6 @@ let create ~magic ~context path =
     compactions = 0;
   }
 
-let path t = t.path
-let context t = t.context
 let lines t = t.lines
 let dropped t = t.dropped
 let appends t = t.appends

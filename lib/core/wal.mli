@@ -67,9 +67,6 @@ val write : t -> compact:bool -> string list -> (unit -> string list) -> unit
     the file allows it and [compact] is false, otherwise by rewriting
     the file from the bodies [live ()] returns. *)
 
-val path : t -> string
-val context : t -> string
-
 val dropped : t -> int
 (** Lines discarded by {!recover} and {!drop} (0 for a clean file). *)
 

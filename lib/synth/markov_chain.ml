@@ -31,8 +31,6 @@ let of_matrix alphabet p =
   let samplers = Array.map Sampling.of_weights rows in
   { alphabet; rows; samplers }
 
-let alphabet t = t.alphabet
-
 let prob t i j =
   assert (Alphabet.mem t.alphabet i && Alphabet.mem t.alphabet j);
   t.rows.(i).(j)

@@ -16,8 +16,6 @@ val of_matrix : Alphabet.t -> float array array -> t
     value (they are normalised).  @raise Invalid_argument on shape or
     sign errors. *)
 
-val alphabet : t -> Alphabet.t
-
 val prob : t -> int -> int -> float
 (** Normalised transition probability [i -> j]. *)
 

@@ -23,8 +23,6 @@ let spec ~clock ~budget_ms =
     invalid_arg "Deadline.spec: budget_ms must be positive";
   { clock; budget_ms }
 
-let budget_ms s = s.budget_ms
-
 let arm spec = { spec; started = spec.clock () }
 
 let expired t =

@@ -49,8 +49,6 @@ val spec : clock:(unit -> float) -> budget_ms:int -> spec
     monotone non-decreasing as observed by any single domain.
     @raise Invalid_argument if [budget_ms <= 0]. *)
 
-val budget_ms : spec -> int
-
 val arm : spec -> t
 (** Snapshot the clock and start the countdown. *)
 
