@@ -501,7 +501,7 @@ let run opts =
     List.init opts.connections (fun conn_index ->
         plan_batches opts ~corpus ~conn_index)
   in
-  let pool = Pool.create ~jobs:opts.connections () in
+  let pool = Pool.create ~jobs:opts.connections in
   let results =
     Pool.map pool (drive_connection opts)
       (List.mapi (fun conn_index b -> (conn_index, b)) plans)

@@ -21,8 +21,6 @@ type stats = {
   cells_failed : int;
   cells_timed_out : int;
   cells_resumed : int;
-  automata_built : int;
-  automata_hits : int;
 }
 
 let zero_stats =
@@ -40,77 +38,57 @@ let zero_stats =
     cells_failed = 0;
     cells_timed_out = 0;
     cells_resumed = 0;
-    automata_built = 0;
-    automata_hits = 0;
   }
 
 type key = string * int * int64
 
+(* Extra executions granted to a transient-faulted task, beyond its
+   first attempt. *)
+let retries = 2
+
 type t = {
   pool : Pool.t;
   clock : unit -> float;
-  retries : int;
-      (* extra executions granted to a transient-faulted task, beyond
-         its first attempt *)
   fault_plan : Fault_plan.t option;
   deadline : Deadline.spec option;
       (* armed afresh around every supervised task execution (and every
          trie build): a task that checkpoints past the budget degrades
          to a Timeout fault instead of stalling the run *)
-  compile : bool;
-      (* attach compiled flat-automaton scorers to trained models as
-         they are committed to the cache *)
   cache : (key, Trained.t) Hashtbl.t;
   tries : (int64, Seq_trie.t) Hashtbl.t;
       (* fingerprint -> deepest trie built for that training trace;
          every trie-capable (detector, window) model is a view of it *)
-  autos : (int64 * int, Flat_automaton.t) Hashtbl.t;
-      (* (fingerprint, window) -> compiled automaton; detectors sharing
-         a training trace and window share the transition table and
-         differ only in their per-state score tables *)
   mutable fingerprints : (Trace.t * int64) list;
       (* physical-equality memo: the same training trace is
          fingerprinted once per engine, not once per task *)
   mutable stats : stats;
 }
 
-let create ?(clock = fun () -> 0.0) ?(jobs = 1) ?(retries = 2) ?fault_plan
-    ?deadline ?(compile = false) () =
+let create ?(clock = fun () -> 0.0) ?(jobs = 1) ?fault_plan ?deadline () =
   {
-    pool = Pool.create ~jobs ();
+    pool = Pool.create ~jobs;
     clock;
-    retries = Stdlib.max 0 retries;
     fault_plan;
     deadline;
-    compile;
     cache = Hashtbl.create 64;
     tries = Hashtbl.create 8;
-    autos = Hashtbl.create 8;
     fingerprints = [];
     stats = zero_stats;
   }
 
 let default = function Some e -> e | None -> create ()
-let jobs t = Pool.jobs t.pool
-let compiles t = t.compile
 let pool t = t.pool
-let retries (t : t) = t.retries
-let fault_plan t = t.fault_plan
-let deadline t = t.deadline
 let stats t = t.stats
-let reset_stats t = t.stats <- zero_stats
 
 let pp_stats ppf s =
   Format.fprintf ppf
     "engine: trained %d model(s) (%d cache hit(s)) in %.3fs; scored %d \
      cell(s) in %.3fs; %d trie(s) built (%d node(s), %d view hit(s)); \
      supervision: %d fault(s) injected, %d retry(ies), %d cell(s) failed \
-     (%d timed out), %d cell(s) resumed; %d automaton(s) compiled (%d \
-     shared)"
+     (%d timed out), %d cell(s) resumed"
     s.train_executed s.train_cached s.train_seconds s.score_tasks
     s.score_seconds s.tries_built s.trie_nodes s.trie_hits s.faults_injected
     s.retries s.cells_failed s.cells_timed_out s.cells_resumed
-    s.automata_built s.automata_hits
 
 (* Arm the engine's deadline (when configured) around one task body.
    Worker domains execute one task at a time, so the ambient
@@ -221,7 +199,7 @@ let supervised_thunks t pool tasks =
                    results.(i) <- Some (Ok v);
                    []
                | Error { Pool.exn; backtrace; _ } ->
-                   if Fault.classify exn = Fault.Transient && attempt < t.retries
+                   if Fault.classify exn = Fault.Transient && attempt < retries
                    then [ i ]
                    else begin
                      results.(i) <-
@@ -239,7 +217,7 @@ let supervised_thunks t pool tasks =
       if again <> [] then
         Log.debug (fun m ->
             m "supervisor: retrying %d transient failure(s) (attempt %d/%d)"
-              (List.length again) (attempt + 2) (t.retries + 1));
+              (List.length again) (attempt + 2) (retries + 1));
       rounds (attempt + 1) again
     end
   in
@@ -285,34 +263,6 @@ let train_miss t d ~window trace fp =
   end
   else Trained.train d ~window trace
 
-(* Compiled fast path (opt-in): attach a flat-automaton scorer to a
-   freshly trained model as it is committed to the cache.  Detectors
-   trained on the same trace at the same window share one automaton
-   (the transition table depends only on the trie slice, not on the
-   similarity metric); only the per-state score table is per-detector.
-   Attachment runs on the calling domain, outside any armed deadline —
-   like cache commits themselves, it is engine bookkeeping, not a
-   supervised task — so chaos/deadline behaviour is unchanged. *)
-let attach_scorer t fp trained =
-  if not t.compile then trained
-  else begin
-    let akey = (fp, Trained.window trained) in
-    let cached = Hashtbl.find_opt t.autos akey in
-    match Trained.compile ?automaton:cached trained with
-    | None -> trained
-    | Some scorer ->
-        let auto = Flat_automaton.automaton scorer in
-        (match cached with
-        | Some shared when shared == auto ->
-            t.stats <-
-              { t.stats with automata_hits = t.stats.automata_hits + 1 }
-        | Some _ | None ->
-            Hashtbl.replace t.autos akey auto;
-            t.stats <-
-              { t.stats with automata_built = t.stats.automata_built + 1 });
-        Trained.with_scorer trained scorer
-  end
-
 (* --- train phase ------------------------------------------------------- *)
 
 let train t d ~window trace =
@@ -324,7 +274,7 @@ let train t d ~window trace =
   | None ->
       let t0 = t.clock () in
       let _, _, fp = k in
-      let trained = attach_scorer t fp (train_miss t d ~window trace fp) in
+      let trained = train_miss t d ~window trace fp in
       Hashtbl.add t.cache k trained;
       t.stats <-
         {
@@ -443,9 +393,9 @@ let train_batch_result t specs =
   in
   let miss_faults = Hashtbl.create 4 in
   List.iter2
-    (fun (((_, _, fp) as k), _, _, _) result ->
+    (fun (k, _, _, _) result ->
       match result with
-      | Ok trained -> Hashtbl.add t.cache k (attach_scorer t fp trained)
+      | Ok trained -> Hashtbl.add t.cache k trained
       | Error fault -> Hashtbl.replace miss_faults k fault)
     healthy results;
   List.iter

@@ -43,7 +43,7 @@
     ({!Seqdiv_util.Pool.map_result}): an exception lands in that task's
     own result slot, is classified by {!Fault.classify}, and — when
     transient — the task is re-run on the calling domain's schedule up
-    to the engine's retry budget.  Retry bookkeeping lives in {!stats}
+    to twice more.  Retry bookkeeping lives in {!stats}
     and in each fault's [attempts] field, never in any PRNG state, so
     a recovered run is byte-identical to an undisturbed one.  A task
     that fails past the budget degrades its cell to
@@ -68,53 +68,33 @@ type t
 val create :
   ?clock:(unit -> float) ->
   ?jobs:int ->
-  ?retries:int ->
   ?fault_plan:Fault_plan.t ->
   ?deadline:Seqdiv_util.Deadline.spec ->
-  ?compile:bool ->
   unit ->
   t
 (** A fresh engine with an empty model cache.  [jobs] defaults to 1
     (strictly serial); [clock] defaults to [fun () -> 0.] so that
-    library code performs no wall-clock reads.  [retries] (default 2,
-    clamped to at least 0) is the supervisor's budget of {e additional}
-    executions for a transiently-failed task.  [fault_plan] arms the
+    library code performs no wall-clock reads.  A transiently-failed
+    task gets up to 2 {e additional} executions.  [fault_plan] arms the
     seeded chaos harness: every train/score task consults the plan
     before running (tests and the CLI's [--chaos SEED] only).  [deadline] arms a
     cooperative watchdog afresh around every supervised task execution
     (and every trie build): a task that checkpoints past the budget
     degrades its cell to {!Outcome.Failed} with the non-retried
-    [Timeout] severity instead of stalling the run.  [compile] (default
-    [false]) attaches compiled flat-automaton scorers
-    ({!Trained.compile}) to models as they are committed to the cache;
-    detectors sharing a training trace and window share one automaton,
-    cached per (fingerprint, window).  Responses are bit-identical with
-    the flag on or off (asserted against the golden fixtures). *)
+    [Timeout] severity instead of stalling the run.  Models are scored
+    by each detector's own [score_range]; compiled flat-automaton
+    scorers ({!Trained.compile}) are for the deployments that step
+    them. *)
 
 val default : t option -> t
 (** [default (Some e)] is [e]; [default None] is a fresh serial
     engine — the idiom drivers use for their [?engine] parameter. *)
-
-val jobs : t -> int
-(** Worker count of the underlying pool. *)
-
-val compiles : t -> bool
-(** Whether the engine attaches compiled scorers to trained models. *)
 
 val pool : t -> Seqdiv_util.Pool.t
 (** The engine's pool, for drivers that parallelise pure per-item
     work of their own (e.g. per-window false-alarm scoring).  The
     pool contract applies: closures must not touch the engine, any
     PRNG, or other shared mutable state. *)
-
-val retries : t -> int
-(** The supervisor's retry budget per transiently-failed task. *)
-
-val fault_plan : t -> Fault_plan.t option
-(** The armed chaos plan, if any. *)
-
-val deadline : t -> Seqdiv_util.Deadline.spec option
-(** The per-task deadline policy, if any. *)
 
 (** {1 Stage instrumentation} *)
 
@@ -140,17 +120,10 @@ type stats = {
       (** the subset of [cells_failed] whose fault severity is
           [Timeout] (deadline expiry) *)
   cells_resumed : int;  (** cells answered from the journal *)
-  automata_built : int;
-      (** flat automata compiled (when the engine was created with
-          [~compile:true]) *)
-  automata_hits : int;
-      (** compiled models that shared an already-built automaton *)
 }
 
 val stats : t -> stats
-(** Cumulative counters since creation (or the last {!reset_stats}). *)
-
-val reset_stats : t -> unit
+(** Cumulative counters since creation. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line rendering used by the [--trace] flag of the

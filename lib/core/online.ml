@@ -72,19 +72,10 @@ let create trained ?(compile = true) ?threshold ?adaptive () =
   in
   let window = Trained.window trained in
   let path =
-    if not compile then window_slide trained ~window
-    else
-      let scorer =
-        match Trained.scorer trained with
-        | Some _ as s -> s
-        | None -> Trained.compile trained
-      in
-      match scorer with
-      | Some scorer
-        when Flat_automaton.depth (Flat_automaton.automaton scorer) = window
-        ->
-          Automaton { Flat_automaton.scorer; state = Flat_automaton.start }
-      | Some _ | None -> window_slide trained ~window
+    match if compile then Trained.compile trained else None with
+    | Some scorer ->
+        Automaton { Flat_automaton.scorer; state = Flat_automaton.start }
+    | None -> window_slide trained ~window
   in
   make ~path ~threshold
     ~adaptive:(Option.map Adaptive_threshold.create adaptive)

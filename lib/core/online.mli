@@ -35,9 +35,9 @@ val create :
   unit ->
   t
 (** A monitor around a trained detector.  [threshold] defaults to the
-    detector's alarm threshold.  [compile] (default [true]) allows the
-    monitor to use the model's compiled flat-automaton scorer (attached
-    or freshly compiled); pass [false] to force the reference
+    detector's alarm threshold.  [compile] (default [true]) lets the
+    monitor step the model's compiled flat-automaton scorer
+    ({!Trained.compile}); pass [false] to force the reference
     window-rescoring path.  With [adaptive], the monitor owns a fresh
     {!Adaptive_threshold} controller and the alarm threshold tracks the
     controller instead of staying constant (the static [threshold] is

@@ -1,64 +1,29 @@
-open Seqdiv_stream
 open Seqdiv_detectors
 
-type packed =
-  | Trained :
-      (module Detector.S with type model = 'm) * 'm
-      -> packed
-
-type t = { packed : packed; scorer : Flat_automaton.scorer option }
-(* [scorer]: an optional compiled fast path.  When present, scoring
-   dispatches to the shared flat-automaton loop — which is bit-identical
-   to the detector's own trie descent (the [Detector.S.compile]
-   contract), so attaching a scorer is behaviourally invisible. *)
-
-let of_packed packed = { packed; scorer = None }
+type t = Trained : (module Detector.S with type model = 'm) * 'm -> t
 
 let train (module D : Detector.S) ~window trace =
   (* A train task whose budget is already spent fails here, before the
      detector commits to a possibly checkpoint-free training loop. *)
   Seqdiv_util.Deadline.checkpoint ();
-  of_packed (Trained ((module D), D.train ~window trace))
+  Trained ((module D), D.train ~window trace)
 
 let trie_capable (module D : Detector.S) = Option.is_some D.train_of_trie
 
 let train_of_trie (module D : Detector.S) trie ~window =
   match D.train_of_trie with
   | None -> None
-  | Some of_trie -> Some (of_packed (Trained ((module D), of_trie trie ~window)))
+  | Some of_trie -> Some (Trained ((module D), of_trie trie ~window))
 
-let name { packed = Trained ((module D), _); _ } = D.name
-let window { packed = Trained ((module D), m); _ } = D.window m
-let maximal_epsilon { packed = Trained ((module D), _); _ } = D.maximal_epsilon
+let name (Trained ((module D), _)) = D.name
+let window (Trained ((module D), m)) = D.window m
+let maximal_epsilon (Trained ((module D), _)) = D.maximal_epsilon
 let alarm_threshold t = 1.0 -. maximal_epsilon t
 
-let compile ?automaton { packed = Trained ((module D), m); _ } =
-  match D.compile with
-  | None -> None
-  | Some compile_model -> compile_model ?automaton m
+let score (Trained ((module D), m)) trace = D.score m trace
 
-let scorer t = t.scorer
-let with_scorer t scorer = { t with scorer = Some scorer }
+let score_range (Trained ((module D), m)) trace ~lo ~hi =
+  D.score_range m trace ~lo ~hi
 
-let compiled t =
-  match t.scorer with
-  | Some _ -> t
-  | None -> (
-      match compile t with Some s -> with_scorer t s | None -> t)
-
-let score t trace =
-  match t with
-  | { packed = Trained ((module D), m); scorer = None } -> D.score m trace
-  | { packed = Trained ((module D), _); scorer = Some scorer } ->
-      let lo, hi =
-        Detector.full_range ~trace_len:(Trace.length trace)
-          ~window:(Flat_automaton.depth (Flat_automaton.automaton scorer))
-      in
-      Detector.compiled_score_range scorer ~detector:D.name trace ~lo ~hi
-
-let score_range t trace ~lo ~hi =
-  match t with
-  | { packed = Trained ((module D), m); scorer = None } ->
-      D.score_range m trace ~lo ~hi
-  | { packed = Trained ((module D), _); scorer = Some scorer } ->
-      Detector.compiled_score_range scorer ~detector:D.name trace ~lo ~hi
+let compile (Trained ((module D), m)) =
+  match D.compile with None -> None | Some compile_model -> compile_model m

@@ -37,34 +37,16 @@ val alarm_threshold : t -> float
     raises an alarm under the paper's threshold-of-1 policy. *)
 
 val score : t -> Trace.t -> Response.t
-(** Score a whole trace.  Uses the attached compiled scorer when one is
-    present (see {!with_scorer}); responses are bit-identical either
-    way. *)
+(** Score a whole trace. *)
 
 val score_range : t -> Trace.t -> lo:int -> hi:int -> Response.t
 (** Score window starts within a range. *)
 
-(** {1 Compiled fast path}
-
-    A trained model can carry a {!Seqdiv_stream.Flat_automaton.scorer}
-    compiled from it; {!score} / {!score_range} then run the
-    flat-automaton loop instead of the detector's own descent.  The
-    {!Detector.S.compile} contract makes the switch behaviourally
-    invisible — identical response bytes, identical checkpoint
-    cadence. *)
-
-val compile : ?automaton:Flat_automaton.t -> t -> Flat_automaton.scorer option
-(** Compile the model to a flat-automaton scorer, reusing [automaton]
-    when compatible.  [None] when the detector has no compiled form (or
-    this model declines, e.g. smoothed Markov). *)
-
-val scorer : t -> Flat_automaton.scorer option
-(** The attached compiled scorer, if any. *)
-
-val with_scorer : t -> Flat_automaton.scorer -> t
-(** Attach a compiled scorer (typically from {!compile}, or loaded via
-    {!Seqdiv_detectors.Model_io}). *)
-
-val compiled : t -> t
-(** [with_scorer] of a fresh {!compile} — the identity when a scorer is
-    already attached or the model has no compiled form. *)
+val compile : t -> Flat_automaton.scorer option
+(** Compile the model to a flat-automaton scorer of depth {!window}
+    ({!Detector.S.compile}), for the deployments that step one: online
+    monitors, [seqdiv serve] and flat model files.  [None] when the
+    detector has no compiled form (or this model declines, e.g.
+    smoothed Markov).  {!score} and {!score_range} always run the
+    detector's own descent, the reference a compiled scorer must match
+    bit for bit. *)

@@ -11,9 +11,7 @@ module type S = sig
   val score_range : model -> Trace.t -> lo:int -> hi:int -> Response.t
   val score : model -> Trace.t -> Response.t
 
-  val compile :
-    (?automaton:Flat_automaton.t -> model -> Flat_automaton.scorer option)
-    option
+  val compile : (model -> Flat_automaton.scorer option) option
 end
 
 type t = (module S)
@@ -23,19 +21,6 @@ let clamp_range ~trace_len ~window ~lo ~hi =
   (Stdlib.max 0 lo, Stdlib.min max_start hi)
 
 let full_range ~trace_len ~window = (0, trace_len - window)
-
-(* Shared by the [compile] implementations: reuse a cached automaton
-   when its shape matches the model's view of the trie, else compile a
-   fresh one.  (The engine only offers automata compiled from the same
-   training trace, so shape agreement is the whole compatibility
-   check.) *)
-let obtain_automaton ?automaton trie ~window =
-  match automaton with
-  | Some a
-    when Flat_automaton.depth a = window
-         && Flat_automaton.alphabet_size a = Seq_trie.alphabet_size trie ->
-      a
-  | Some _ | None -> Flat_automaton.compile trie ~depth:window
 
 (* Shared batch-scoring loop over a compiled scorer: one automaton step
    and one score-table read per window.  The responses — and the

@@ -51,20 +51,16 @@ module type S = sig
   val score : model -> Trace.t -> Response.t
   (** All responses for a trace: [score_range] over the whole trace. *)
 
-  val compile :
-    (?automaton:Flat_automaton.t -> model -> Flat_automaton.scorer option)
-    option
+  val compile : (model -> Flat_automaton.scorer option) option
   (** When the model can be compiled to a flat-automaton scorer
       ({!Seqdiv_stream.Flat_automaton}), the compiler: the returned
-      scorer must produce bit-identical responses to [score_range] on
-      every trace — the trie descent stays the correctness reference.
-      [?automaton] optionally reuses an automaton already compiled from
-      the same training data at this model's window (the engine's
-      automaton cache); implementations must check its depth and
-      alphabet and compile a fresh one on any mismatch.  The inner
-      option is for models a compiler cannot serve (e.g. a smoothed
-      Markov model, whose scores are no longer a per-state table over
-      the trained trie).  [None] for detectors with no compiled form. *)
+      scorer, run through {!compiled_score_range}, must produce
+      bit-identical responses to [score_range] on every trace — the
+      trie descent stays the correctness reference.  The automaton has
+      depth [window model].  The inner option is for models a compiler
+      cannot serve (e.g. a smoothed Markov model, whose scores are no
+      longer a per-state table over the trained trie).  [None] for
+      detectors with no compiled form. *)
 end
 
 type t = (module S)
@@ -77,12 +73,6 @@ val clamp_range : trace_len:int -> window:int -> lo:int -> hi:int -> int * int
 
 val full_range : trace_len:int -> window:int -> int * int
 (** The whole valid window-start range. *)
-
-val obtain_automaton :
-  ?automaton:Flat_automaton.t -> Seq_trie.t -> window:int -> Flat_automaton.t
-(** Helper shared by [compile] implementations: [automaton] when it has
-    depth [window] over the trie's alphabet, else a fresh
-    {!Seqdiv_stream.Flat_automaton.compile} of the trie. *)
 
 val compiled_score_range :
   Flat_automaton.scorer ->

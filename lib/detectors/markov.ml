@@ -149,10 +149,10 @@ let score m trace =
    A smoothed model is not a per-state table over the trained trie
    (unobserved continuations of observed contexts score differently
    from unobserved contexts), so it declines to compile. *)
-let compile_model ?automaton m =
+let compile_model m =
   if m.smoothing > 0.0 then None
   else
-    let auto = Detector.obtain_automaton ?automaton m.trie ~window:m.window in
+    let auto = Flat_automaton.compile m.trie ~depth:m.window in
     Some
       (Flat_automaton.make_scorer auto ~score:(fun s ->
            if Flat_automaton.state_depth auto s < m.window then 1.0

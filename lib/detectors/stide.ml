@@ -47,10 +47,8 @@ let score m trace =
 
 (* Compiled form: a full-depth state is a recorded window (score 0),
    anything shallower is foreign (score 1) — exactly [mem_at]. *)
-let compile_model ?automaton m =
-  let auto =
-    Detector.obtain_automaton ?automaton m.trie ~window:m.window
-  in
+let compile_model m =
+  let auto = Flat_automaton.compile m.trie ~depth:m.window in
   Some
     (Flat_automaton.make_scorer auto ~score:(fun s ->
          if Flat_automaton.state_depth auto s = m.window then 0.0 else 1.0))

@@ -55,8 +55,8 @@ let score m trace =
    full-depth state carries the window's count, so the rarity test is
    the same division [Seq_trie.is_rare_at] performs (bit-identical
    float expression, [count >= 1] by construction). *)
-let compile_model ?automaton m =
-  let auto = Detector.obtain_automaton ?automaton m.trie ~window:m.window in
+let compile_model m =
+  let auto = Flat_automaton.compile m.trie ~depth:m.window in
   let total = Seq_trie.total m.trie m.window in
   Some
     (Flat_automaton.make_scorer auto ~score:(fun s ->

@@ -1,5 +1,5 @@
 (* The one concurrency-bearing module of the library (lint rule R6).
-   Work items are claimed from a shared atomic cursor in chunks and
+   Work items are claimed one at a time from a shared atomic cursor and
    results land in their input slot, which is what makes the maps
    order-preserving and hence byte-identical across jobs counts.
 
@@ -8,13 +8,10 @@
    captured into that task's result slot — one raising closure can
    never poison the rest of the batch. *)
 
-type t = { jobs : int; chunk : int }
+type t = { jobs : int }
 
-let create ?(chunk = 1) ~jobs () =
-  { jobs = Stdlib.max 1 jobs; chunk = Stdlib.max 1 chunk }
-
+let create ~jobs = { jobs = Stdlib.max 1 jobs }
 let jobs t = t.jobs
-let chunk t = t.chunk
 let recommended_jobs () = Domain.recommended_domain_count ()
 
 type failure = {
@@ -34,9 +31,9 @@ let run_isolated f i x =
          domain holds only the *current* exception's backtrace, so any
          allocation or raise-and-catch sequenced before the read (record
          field evaluation order is unspecified) could clobber it.  With
-         the capture hoisted, every failing slot of a chunk — including
-         the second of two failures in the same chunk — keeps its own
-         backtrace. *)
+         the capture hoisted, every failing slot of a worker's loop —
+         including the second of two failures caught by the same
+         worker — keeps its own backtrace. *)
       let backtrace = Printexc.get_raw_backtrace () in
       Error { index = i; exn; backtrace }
 
@@ -48,12 +45,9 @@ let map_result_array t f input =
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
-        let start = Atomic.fetch_and_add next t.chunk in
-        if start < n then begin
-          let stop = Stdlib.min n (start + t.chunk) in
-          for i = start to stop - 1 do
-            results.(i) <- Some (run_isolated f i input.(i))
-          done;
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- Some (run_isolated f i input.(i));
           loop ()
         end
       in
@@ -92,8 +86,8 @@ let map_array t f input =
   let results = map_result_array t f input in
   (* In-order scan: the first [Error] met is the lowest-index failure,
      and it re-raises with the backtrace captured in *its own* slot —
-     never a backtrace smeared from another failure in the same
-     chunk. *)
+     never a backtrace smeared from another failure caught by the same
+     worker. *)
   Array.iter
     (function
       | Error { exn; backtrace; _ } ->

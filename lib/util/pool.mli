@@ -15,18 +15,13 @@
 
 type t
 
-val create : ?chunk:int -> jobs:int -> unit -> t
-(** [create ~jobs ()] is a pool of [jobs] workers ([jobs] is clamped
-    to at least 1).  [chunk] (default 1, clamped to at least 1) is the
-    number of consecutive tasks a worker claims at a time: 1 gives the
-    best load balance for heavy tasks (training a detector), larger
-    chunks amortise contention for many tiny tasks. *)
+val create : jobs:int -> t
+(** [create ~jobs] is a pool of [jobs] workers ([jobs] is clamped to
+    at least 1).  A worker claims one task at a time, the best load
+    balance for heavy tasks (training a detector). *)
 
 val jobs : t -> int
 (** The worker count the pool was created with. *)
-
-val chunk : t -> int
-(** The chunk size the pool was created with. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [-j 0] resolves to in

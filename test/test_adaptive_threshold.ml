@@ -287,7 +287,7 @@ let drifting_eval ~jobs ~budget =
       (Prng.create ~seed:(suite.Suite.params.Suite.seed + 17))
       ~sessions:16 ~length:3_000 ~segments:3 ~peak_deviation:0.2
   in
-  let pool = Pool.create ~jobs () in
+  let pool = Pool.create ~jobs in
   Pool.map pool
     (fun trace ->
       let t =

@@ -15,29 +15,29 @@ let square x = (x * x) + 1
 
 let pool_map_matches_list_map =
   qcheck ~count:200 "Pool.map = List.map at any jobs/chunk"
-    QCheck.(triple (list small_int) (int_range 1 4) (int_range 1 4))
-    (fun (l, jobs, chunk) ->
-      let pool = Pool.create ~chunk ~jobs () in
+    QCheck.(pair (list small_int) (int_range 1 4))
+    (fun (l, jobs) ->
+      let pool = Pool.create ~jobs in
       Pool.map pool square l = List.map square l)
 
 let pool_map2_matches_list_map2 =
   qcheck ~count:200 "Pool.map2 = List.map2"
     QCheck.(pair (list small_int) (int_range 1 4))
     (fun (l, jobs) ->
-      let pool = Pool.create ~jobs () in
+      let pool = Pool.create ~jobs in
       let r = List.map (fun x -> x + 7) l in
       Pool.map2 pool (fun a b -> a * b) l r = List.map2 (fun a b -> a * b) l r)
 
 exception Boom
 
 let test_pool_propagates_exception () =
-  let pool = Pool.create ~jobs:4 () in
+  let pool = Pool.create ~jobs:4 in
   match Pool.map pool (fun x -> if x = 3 then raise Boom else x) [ 1; 2; 3; 4 ] with
   | _ -> Alcotest.fail "expected Boom to propagate"
   | exception Boom -> ()
 
 let test_pool_map2_length_mismatch () =
-  let pool = Pool.create ~jobs:2 () in
+  let pool = Pool.create ~jobs:2 in
   match Pool.map2 pool ( + ) [ 1; 2 ] [ 1 ] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()

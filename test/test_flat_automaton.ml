@@ -1,7 +1,7 @@
 (* Trie-vs-automaton equivalence: the compiled flat-automaton fast
    path must be behaviourally invisible.  Bit-identical Response items
-   from batch scoring, bit-identical Online event streams, identical
-   performance maps at jobs 1 and 4, and a flat-binary mmap roundtrip
+   from the compiled loop ([Detector.compiled_score_range]),
+   bit-identical Online event streams, and a flat-binary mmap roundtrip
    that scores exactly like train-then-score. *)
 
 open Seqdiv_stream
@@ -41,6 +41,21 @@ let event_bit_equal a b =
 
 let events_bit_equal a b =
   List.length a = List.length b && List.for_all2 event_bit_equal a b
+
+(* The compiled loop against the model's own trie descent, bit for bit:
+   over the whole trace, and from [lo = 1] (warm-up from a later
+   start). *)
+let compiled_matches_descent trained scorer probe =
+  let hi = Trace.length probe - Trained.window trained in
+  let compiled ~lo =
+    Detector.compiled_score_range scorer ~detector:(Trained.name trained)
+      probe ~lo ~hi
+  in
+  items_bit_equal (Trained.score trained probe) (compiled ~lo:0)
+  && (hi < 1
+     || items_bit_equal
+          (Trained.score_range trained probe ~lo:1 ~hi)
+          (compiled ~lo:1))
 
 (* {1 Automaton invariant on a hand-built model} *)
 
@@ -130,17 +145,9 @@ let batch_bit_identical =
           let trained =
             Trained.train (Registry.find_exn name) ~window:c.window training
           in
-          let fast = Trained.compiled trained in
-          assert (Trained.scorer fast <> None);
-          items_bit_equal (Trained.score trained probe)
-            (Trained.score fast probe)
-          &&
-          (* A sub-range must agree too (exercises warmup from lo > 0). *)
-          let hi = Trace.length probe - c.window in
-          hi < 1
-          || items_bit_equal
-               (Trained.score_range trained probe ~lo:1 ~hi)
-               (Trained.score_range fast probe ~lo:1 ~hi))
+          compiled_matches_descent trained
+            (Option.get (Trained.compile trained))
+            probe)
         compiled_detectors)
 
 (* {1 qcheck: Online event-stream bit-identity } *)
@@ -276,14 +283,10 @@ let test_flat_roundtrip () =
                (bits flat.Model_io.flat_alarm_threshold));
           (* Scoring through the mmap-loaded tables must equal a fresh
              train-then-score, bit for bit. *)
-          let loaded =
-            Trained.with_scorer trained flat.Model_io.flat_scorer
-          in
           Alcotest.(check bool)
             (name ^ ": loaded scorer bit-identical")
             true
-            (items_bit_equal (Trained.score trained probe)
-               (Trained.score loaded probe));
+            (compiled_matches_descent trained flat.Model_io.flat_scorer probe);
           (* And a detector-free deployment monitor built straight from
              the file agrees with one around the in-memory model. *)
           let from_file =
@@ -298,51 +301,6 @@ let test_flat_roundtrip () =
                    (Online.feed from_model s)))
             (Trace.to_array probe)))
     compiled_detectors
-
-(* {1 Engine: compiled maps identical at jobs 1 and 4 } *)
-
-let test_engine_compiled_maps_equal () =
-  let suite = tiny_suite () in
-  let detectors = List.map Registry.find_exn compiled_detectors in
-  let maps ~jobs ~compile =
-    Experiment.all_maps ~engine:(Engine.create ~jobs ~compile ()) suite
-      detectors
-  in
-  let cells m =
-    List.rev
-      (Performance_map.fold m ~init:[] ~f:(fun acc ~anomaly_size ~window o ->
-           (anomaly_size, window, o) :: acc))
-  in
-  let maps_equal a b =
-    Performance_map.detector a = Performance_map.detector b
-    && List.for_all2
-         (fun (s1, w1, o1) (s2, w2, o2) ->
-           s1 = s2 && w1 = w2 && Outcome.equal o1 o2)
-         (cells a) (cells b)
-  in
-  let reference = maps ~jobs:1 ~compile:false in
-  List.iter
-    (fun (jobs, compile) ->
-      List.iter2
-        (fun a b ->
-          Alcotest.(check bool)
-            (Printf.sprintf "map %s: jobs=%d compile=%b"
-               (Performance_map.detector a) jobs compile)
-            true (maps_equal a b))
-        reference
-        (maps ~jobs ~compile))
-    [ (1, true); (4, true); (4, false) ]
-
-let test_engine_counts_automata () =
-  let suite = tiny_suite () in
-  let e = Engine.create ~compile:true () in
-  let detectors = List.map Registry.find_exn compiled_detectors in
-  ignore (Experiment.all_maps ~engine:e suite detectors);
-  let stats = Engine.stats e in
-  Alcotest.(check bool) "compiled at least one automaton" true
-    (stats.Engine.automata_built > 0);
-  Alcotest.(check bool) "automata shared across detectors" true
-    (stats.Engine.automata_hits > 0)
 
 let () =
   Alcotest.run "flat_automaton"
@@ -359,11 +317,4 @@ let () =
       );
       ( "deployment",
         [ Alcotest.test_case "flat roundtrip" `Quick test_flat_roundtrip ] );
-      ( "engine",
-        [
-          Alcotest.test_case "maps equal at jobs 1 and 4" `Quick
-            test_engine_compiled_maps_equal;
-          Alcotest.test_case "automata stats" `Quick
-            test_engine_counts_automata;
-        ] );
     ]

@@ -21,8 +21,8 @@ let golden_dir =
   | Some d -> d
   | None -> "golden"
 
-let grid ?(compile = false) ?fault_plan ?deadline names =
-  let e = Engine.create ~jobs:1 ~compile ?fault_plan ?deadline () in
+let grid ?fault_plan ?deadline names =
+  let e = Engine.create ~jobs:1 ?fault_plan ?deadline () in
   Experiment.all_maps ~engine:e (tiny_suite ())
     (List.map Registry.find_exn names)
 
@@ -43,15 +43,15 @@ let render maps =
   Buffer.add_string buf (Paper.table1 maps);
   Buffer.contents buf
 
-let gen_healthy ~compile () = render (grid ~compile [ "stide"; "markov" ])
+let gen_healthy () = render (grid [ "stide"; "markov" ])
 
-let gen_chaos ~compile () =
+let gen_chaos () =
   (* A fatal fault plan: failures fire from the stateless per-key hash,
      so the same cells fail with the same rendered faults every run. *)
   let plan = Fault_plan.of_seed ~transient_rate:0.0 ~fatal_rate:0.1 ~seed:7 () in
-  render (grid ~compile ~fault_plan:plan [ "stide"; "markov" ])
+  render (grid ~fault_plan:plan [ "stide"; "markov" ])
 
-let gen_timeout ~compile () =
+let gen_timeout () =
   (* Virtual clock at 1 ms per read, 12 ms budget.  Legitimate tasks of
      the tiny suite read the clock under ten times (trie scan
      30k/4096 ≈ 8, score loops ≤ 2), so they all finish; the neural
@@ -60,7 +60,7 @@ let gen_timeout ~compile () =
      with no wall-clock sleeping. *)
   let clock = Fake_clock.create ~step_ms:1.0 in
   let deadline = Deadline.spec ~clock:(Fake_clock.clock clock) ~budget_ms:12 in
-  render (grid ~compile ~deadline [ "stide"; "nn" ])
+  render (grid ~deadline [ "stide"; "nn" ])
 
 let scenarios =
   [ ("healthy", gen_healthy); ("chaos", gen_chaos); ("timeout", gen_timeout) ]
@@ -72,7 +72,7 @@ let promote () =
     (fun (name, gen) ->
       let path = fixture name in
       Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (gen ~compile:false ()));
+          Out_channel.output_string oc (gen ()));
       Printf.printf "promoted %s\n" path)
     scenarios
 
@@ -94,16 +94,6 @@ let () =
           ( "grids",
             List.map
               (fun (name, gen) ->
-                Alcotest.test_case name `Slow
-                  (check_golden name (gen ~compile:false)))
-              scenarios );
-          (* The compiled fast path must leave every fixture untouched —
-             same bytes under health, chaos and timeout.  Fixtures are
-             only ever promoted from the reference (uncompiled) path. *)
-          ( "grids-compiled",
-            List.map
-              (fun (name, gen) ->
-                Alcotest.test_case name `Slow
-                  (check_golden name (gen ~compile:true)))
+                Alcotest.test_case name `Slow (check_golden name gen))
               scenarios );
         ]

@@ -71,7 +71,7 @@ let flat_bytes ~detector scorer =
 let compiled compile model =
   match compile with
   | Some f -> (
-      match f ?automaton:None model with
+      match f model with
       | Some scorer -> scorer
       | None -> Alcotest.fail "model declined to compile")
   | None -> Alcotest.fail "detector has no compiled form"

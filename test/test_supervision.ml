@@ -21,7 +21,7 @@ let map_result_isolates =
   qcheck ~count:200 "map_result: order kept, every fault in its own slot"
     QCheck.(pair (list small_int) (oneofl [ 1; 4 ]))
     (fun (l, jobs) ->
-      let pool = Pool.create ~jobs () in
+      let pool = Pool.create ~jobs in
       let results = Pool.map_result pool f l in
       List.length results = List.length l
       && List.for_all2
@@ -39,7 +39,7 @@ let test_map2_mismatch_runs_nothing () =
   let ran = ref 0 in
   List.iter
     (fun jobs ->
-      let pool = Pool.create ~jobs () in
+      let pool = Pool.create ~jobs in
       (match Pool.map2 pool (fun a b -> incr ran; a + b) [ 1; 2; 3 ] [ 1 ] with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ());
@@ -60,13 +60,13 @@ let first_line s =
   | None -> s
 
 let test_same_chunk_failures_keep_own_backtraces () =
-  (* Both failures land in the same worker chunk (chunk = input
-     length): catching the second must not clobber the backtrace
-     recorded for the first. *)
+  (* At jobs = 1 both failures are caught by the same loop: catching
+     the second must not clobber the backtrace recorded for the
+     first. *)
   Printexc.record_backtrace true;
   List.iter
     (fun jobs ->
-      let pool = Pool.create ~chunk:4 ~jobs () in
+      let pool = Pool.create ~jobs in
       match Pool.map_result pool backtrace_task [ 0; 1; 2; 3 ] with
       | [ Ok 0; Error e1; Error e2; Ok 3 ] ->
           Alcotest.(check bool)
@@ -95,7 +95,7 @@ let test_map_reraises_lowest_index_backtrace () =
   let input = [ 0; 1; 2; 3 ] in
   List.iter
     (fun jobs ->
-      let pool = Pool.create ~chunk:4 ~jobs () in
+      let pool = Pool.create ~jobs in
       let recorded =
         match Pool.map_result pool backtrace_task input with
         | [ _; Error e; _; _ ] -> Printexc.raw_backtrace_to_string e.Pool.backtrace
@@ -244,9 +244,9 @@ let test_fatal_chaos_degrades_only_faulted_cells () =
 let test_sticky_past_budget_exhausts () =
   (* sticky > retries: the transient keeps recurring until the budget
      runs out, and the cell fails carrying the full attempt count. *)
-  let retries = 2 in
+  let retries = 2 (* the engine's fixed budget *) in
   let plan = Fault_plan.of_seed ~transient_rate:0.08 ~sticky:5 ~seed:13 () in
-  let e = Engine.create ~jobs:4 ~retries ~fault_plan:plan () in
+  let e = Engine.create ~jobs:4 ~fault_plan:plan () in
   let maps = Experiment.all_maps ~engine:e (grid_suite ()) (grid_detectors ()) in
   let s = Engine.stats e in
   Alcotest.(check bool) "some cells failed" true (s.Engine.cells_failed > 0);
