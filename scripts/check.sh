@@ -421,3 +421,8 @@ diff "$tmp/serve-ref.log" "$tmp/serve-chaos.log"
 # The run must actually have exercised the supervisor.
 grep -q 'restart' "$tmp/serve-chaos.out"
 echo "chaos-serve smoke test: OK"
+
+# Code lines of lib, bin and test, for the change log: output only,
+# never a gate.
+echo "code lines (scripts/loc.sh):"
+./scripts/loc.sh || true
