@@ -43,9 +43,9 @@
     ({!Seqdiv_util.Pool.map_result}): an exception lands in that task's
     own result slot, is classified by {!Fault.classify}, and — when
     transient — the task is re-run on the calling domain's schedule up
-    to twice more.  Retry bookkeeping lives in {!stats}
-    and in each fault's [attempts] field, never in any PRNG state, so
-    a recovered run is byte-identical to an undisturbed one.  A task
+    to twice more.  Retry bookkeeping lives in {!stats} and in each
+    fault's [attempts] field, never in any PRNG state, so a recovered
+    run is byte-identical to an undisturbed one.  A task
     that fails past the budget degrades its cell to
     {!Outcome.Failed} (map plans) or raises {!Fault.Error}
     ({!train_batch}).  Chaos testing hooks in through
